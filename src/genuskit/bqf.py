@@ -16,7 +16,7 @@ lexicographic minimum of its cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -84,8 +84,13 @@ def principal_form(D: int) -> Form:
 
 
 def _check_form(f: Form) -> int:
+    _require_fundamental(f.disc)
+    return _check_shape(f)
+
+
+def _check_shape(f: Form) -> int:
+    """Checks of _check_form that hold once D is known to be fundamental."""
     D = f.disc
-    _require_fundamental(D)
     if not f.is_primitive:
         raise ValueError(f"form {f} is imprimitive")
     if D < 0 and f.a <= 0:
@@ -172,6 +177,12 @@ def _cycle_from(f: Form, D: int):
         cycle.append(g)
         g, _ = _rho(g, D, s)
     raise ArithmeticError("reduction cycle did not close (bug)")
+
+
+def _reduced(f: Form, D: int) -> Form:
+    """A reduced form properly equivalent to f (for D > 0 not necessarily
+    the canonical one), without validation."""
+    return _reduce_definite(f)[0] if D < 0 else _reduce_indef(f, D)[0]
 
 
 def reduce_with_transform(f: Form) -> tuple[Form, tuple[int, int, int, int]]:
@@ -263,12 +274,13 @@ def ambiguous_form(p: int, D: int) -> Form:
     """Norm form (p, b, *) of the ramified prime ideal above p.
 
     b is the smallest value in 0..2p-1 with b = D (mod 2) and
-    b^2 = D (mod 4p); the resulting class has order at most 2.
+    b^2 = D (mod 4p); the resulting class has order at most 2. That b is
+    0 or p: for odd p, p | D forces p | b, and for p = 2, b is even.
     """
     _require_fundamental(D)
     if D % p != 0:
         raise ValueError(f"{p} is not ramified in discriminant {D}")
-    for b in range(2 * p):
+    for b in (0, p):
         if (b - D) % 2 == 0 and (b * b - D) % (4 * p) == 0:
             return Form(p, b, (b * b - D) // (4 * p))
     raise ArithmeticError(f"no ambiguous form for p={p}, D={D} (bug)")
@@ -316,10 +328,10 @@ class ClassGroup:
 
     ``reps`` holds one canonical reduced representative per class (for
     D > 0 the lexicographic minimum of the class's cycle). The identity
-    index is the class containing the principal form. ``table`` is the
-    full composition table on class indices. ``invariant_factors`` are in
-    ascending divisibility order (n1 | n2 | ...), with the empty tuple
-    for the trivial group.
+    index is the class containing the principal form; ``mul`` composes
+    two classes on demand. ``invariant_factors`` are in ascending
+    divisibility order (n1 | n2 | ...), with the empty tuple for the
+    trivial group.
     """
 
     D: int
@@ -328,20 +340,18 @@ class ClassGroup:
     invariant_factors: tuple[int, ...]
     two_torsion_basis: tuple[int, ...]
     identity: int
-    table: tuple[tuple[int, ...], ...]
-    _index: dict
+    _index: dict = field(compare=False)
 
     def class_index(self, f: Form) -> int:
         """Index of the class of an arbitrary primitive form of disc D."""
         f = Form(*f)
         if f.disc != self.D:
             raise ValueError(f"form {f} has discriminant {f.disc}, expected {self.D}")
-        if self.D < 0:
-            return self._index[_reduce_definite(f)[0]]
-        return self._index[_reduce_indef(f, self.D)[0]]
+        _check_shape(f)
+        return self._index[_reduced(f, self.D)]
 
     def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        return self._index[_reduced(_compose_raw(self.reps[i], self.reps[j], self.D), self.D)]
 
     def inv(self, i: int) -> int:
         a, b, c = self.reps[i]
@@ -350,26 +360,39 @@ class ClassGroup:
     def pow(self, i: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(i), -n)
-        out = self.identity
-        base = i
-        while n:
-            if n & 1:
-                out = self.table[out][base]
-            base = self.table[base][base]
-            n >>= 1
+        if n == 0:
+            return self.identity
+        out = i
+        for bit in bin(n)[3:]:  # left to right, after the leading 1
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, i)
         return out
 
-    def order_of(self, i: int) -> int:
-        n = 1
-        j = i
-        while j != self.identity:
-            j = self.table[j][i]
-            n += 1
+    def _order(self, i: int, h_factors) -> int:
+        # the order divides h: strip each prime p while i^(n/p) is trivial
+        n = self.h_plus
+        for p, e in h_factors:
+            for _ in range(e):
+                if self.pow(i, n // p) != self.identity:
+                    break
+                n //= p
         return n
+
+    def order_of(self, i: int) -> int:
+        return self._order(i, factorize(self.h_plus).factors)
+
+    def subset_products(self, gens) -> tuple[int, ...]:
+        """Product of every subset of ``gens``, indexed by bitmask (bit i
+        selects gens[i]), built with 2^k - 1 compositions."""
+        out = [self.identity]
+        for g in gens:
+            out += [self.mul(x, g) for x in out]
+        return tuple(out)
 
     def two_torsion(self) -> tuple[int, ...]:
         """Indices of all classes of order at most 2 (identity included)."""
-        return tuple(i for i in range(self.h_plus) if self.table[i][i] == self.identity)
+        return tuple(sorted(self.subset_products(self.two_torsion_basis)))
 
     @property
     def two_torsion_rank(self) -> int:
@@ -385,24 +408,16 @@ class ClassGroup:
         }
 
 
-def _invariant_factors(table, identity, h) -> tuple[int, ...]:
-    """Invariant factors of an abelian group given by its full table.
+def _invariant_factors(orders, h_factors) -> tuple[int, ...]:
+    """Invariant factors of an abelian group from its element orders and
+    the factorisation of its order h.
 
     Per prime p | h, the number of elements killed by p^j determines the
     multiset of p-power elementary divisors; those merge into invariant
     factors largest-first.
     """
-    if h == 1:
-        return ()
-    orders = []
-    for i in range(h):
-        n, j = 1, i
-        while j != identity:
-            j = table[j][i]
-            n += 1
-        orders.append(n)
     per_prime: dict[int, list[int]] = {}
-    for p, e in factorize(h).factors:
+    for p, e in h_factors:
         counts = []
         for j in range(e + 1):
             pj = p**j
@@ -419,7 +434,7 @@ def _invariant_factors(table, identity, h) -> tuple[int, ...]:
             exactly = geq[j - 1] - (geq[j] if j < e else 0)
             exps.extend([j] * exactly)
         per_prime[p] = sorted(exps, reverse=True)
-    width = max(len(v) for v in per_prime.values())
+    width = max((len(v) for v in per_prime.values()), default=0)
     factors_desc = []
     for i in range(width):
         n = 1
@@ -430,15 +445,13 @@ def _invariant_factors(table, identity, h) -> tuple[int, ...]:
     return tuple(reversed(factors_desc))
 
 
-def _two_torsion_basis(table, identity, h) -> tuple[int, ...]:
-    elements = [i for i in range(h) if table[i][i] == identity and i != identity]
-    basis = []
-    span = {identity}
-    for x in elements:
-        if x in span:
-            continue
-        basis.append(x)
-        span |= {table[x][s] for s in span}
+def _two_torsion_basis(cg: ClassGroup, orders) -> tuple[int, ...]:
+    basis: list[int] = []
+    span = {cg.identity}
+    for x in range(cg.h_plus):
+        if orders[x] == 2 and x not in span:
+            basis.append(x)
+            span = set(cg.subset_products(basis))
     return tuple(basis)
 
 
@@ -446,9 +459,10 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_M
     """Full narrow class group of a fundamental discriminant.
 
     Enumerates every reduced form, groups them into classes (cycles when
-    D > 0), builds the composition table, and extracts the abelian group
-    structure. Raises ResourceLimitError when |D| or the class number
-    exceeds the configured bounds.
+    D > 0), and extracts the abelian group structure from element orders,
+    each found from the factorisation of h with O(log h) compositions.
+    Raises ResourceLimitError when |D| or the class number exceeds the
+    configured bounds.
     """
     _require_fundamental(D)
     if abs(D) > max_disc:
@@ -478,18 +492,13 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_M
     index = {f: relabel[i] for f, i in index.items()}
     reps = tuple(min(classes[i]) for i in canon)
 
-    if D < 0:
-        identity = index[_reduce_definite(principal_form(D))[0]]
-    else:
-        identity = index[_reduce_indef(principal_form(D), D)[0]]
-
-    reducer = (lambda f: _reduce_definite(f)[0]) if D < 0 else (lambda f: _reduce_indef(f, D)[0])
-    table = tuple(
-        tuple(index[reducer(_compose_raw(fi, fj, D))] for fj in reps) for fi in reps
-    )
-
-    factors = _invariant_factors(table, identity, h)
-    basis = _two_torsion_basis(table, identity, h)
+    identity = index[_reduced(principal_form(D), D)]
+    # the structure is read from the group itself, then filled in
+    cg = ClassGroup(D=D, reps=reps, h_plus=h, invariant_factors=(), two_torsion_basis=(), identity=identity, _index=index)
+    h_factors = factorize(h).factors
+    orders = [cg._order(i, h_factors) for i in range(h)]
+    factors = _invariant_factors(orders, h_factors)
+    basis = _two_torsion_basis(cg, orders)
     if len(basis) != sum(1 for n in factors if n % 2 == 0):
         raise ArithmeticError("2-torsion basis size disagrees with invariant factors (bug)")
 
@@ -499,13 +508,4 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_M
     if prod != h:
         raise ArithmeticError("invariant factors do not multiply to h (bug)")
 
-    return ClassGroup(
-        D=D,
-        reps=reps,
-        h_plus=h,
-        invariant_factors=factors,
-        two_torsion_basis=basis,
-        identity=identity,
-        table=table,
-        _index=index,
-    )
+    return replace(cg, invariant_factors=factors, two_torsion_basis=basis)

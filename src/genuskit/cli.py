@@ -47,7 +47,8 @@ def _dump(data) -> str:
 class ResultCache:
     """Append-only line-delimited JSON cache keyed by discriminant.
 
-    Newest record for a key wins; unparseable lines are skipped, so a
+    Newest record for a key wins; unparseable lines, and lines whose
+    record lacks the class number or the genus report, are skipped, so a
     torn write cannot poison the file.
     """
 
@@ -58,8 +59,11 @@ class ResultCache:
             for line in self.path.read_text().splitlines():
                 try:
                     rec = json.loads(line)
-                    if rec.get("version") == SCHEMA_VERSION:
-                        self.records[rec["key"]] = rec["value"]
+                    if not isinstance(rec, dict) or rec.get("version") != SCHEMA_VERSION:
+                        continue
+                    value = rec["value"]
+                    if isinstance(value["class_group"]["h_plus"], int) and isinstance(value["genus_report"], dict):
+                        self.records[rec["key"]] = value
                 except (json.JSONDecodeError, KeyError, TypeError):
                     continue
 
@@ -155,6 +159,9 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
         D = d if d % 4 == 1 else 4 * d
         cached = cache.get(D) if cache else None
         if cached is not None:
+            h = cached["class_group"]["h_plus"]
+            if h > job.max_h:
+                raise ResourceLimitError(f"h+ = {h} exceeds the bound {job.max_h}")
             records[d] = cached
         else:
             to_compute.append(d)
@@ -444,9 +451,20 @@ def _apply_config(args) -> None:
     config = {}
     if args.config:
         config = json.loads(Path(args.config).read_text())
+        if not isinstance(config, dict):
+            raise ValueError("the config file must hold a JSON object")
         unknown = set(config) - set(_GLOBAL_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in config.items():
+            if key == "json":
+                ok = isinstance(value, bool)
+            elif key == "cache":
+                ok = value is None or isinstance(value, str)
+            else:
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            if not ok:
+                raise ValueError(f"config key {key!r} has a value of the wrong type: {value!r}")
     for key, default in _GLOBAL_DEFAULTS.items():
         if getattr(args, key) is None:
             setattr(args, key, config.get(key, default))

@@ -94,21 +94,17 @@ def genus_map(field: QuadField, subset, cg: ClassGroup) -> int:
     return out
 
 
-def genus_map_kernel(field: QuadField, cg: ClassGroup) -> tuple[int, ...]:
+def genus_map_kernel(field: QuadField, cg: ClassGroup, images=None) -> tuple[int, ...]:
     """All subset masks whose genus image is principal.
 
-    Always contains the empty mask; checked to be closed under symmetric
-    difference before returning.
+    ``images`` are the genus images of every mask, indexed by mask as
+    ``ClassGroup.subset_products`` builds them; they are built here when
+    not given. Always contains the empty mask; checked to be closed under
+    symmetric difference before returning.
     """
-    ambig = ambiguous_class_indices(field, cg)
-    images = {}
-    for mask in range(1 << field.r):
-        out = cg.identity
-        for i in range(field.r):
-            if mask >> i & 1:
-                out = cg.mul(out, ambig[i])
-        images[mask] = out
-    kernel = tuple(m for m in range(1 << field.r) if images[m] == cg.identity)
+    if images is None:
+        images = cg.subset_products(ambiguous_class_indices(field, cg))
+    kernel = tuple(m for m, x in enumerate(images) if x == cg.identity)
     kset = set(kernel)
     for m1 in kernel:
         for m2 in kernel:
@@ -140,27 +136,19 @@ def verify_gauss(field: QuadField, *, cg: ClassGroup | None = None, max_h: int =
     if cg is None:
         cg = class_group(field.D, max_h=max_h)
     rank = cg.two_torsion_rank
-    kernel = genus_map_kernel(field, cg)
-    ambig = ambiguous_class_indices(field, cg)
-    image = set()
-    for mask in range(1 << field.r):
-        out = cg.identity
-        for i in range(field.r):
-            if mask >> i & 1:
-                out = cg.mul(out, ambig[i])
-        image.add(out)
-    two_torsion = set(cg.two_torsion())
+    images = cg.subset_products(ambiguous_class_indices(field, cg))
+    kernel = genus_map_kernel(field, cg, images)
     return GenusReport(
         field=field,
         rank_two_torsion=rank,
         kernel_subsets=kernel,
-        image_is_two_torsion=image == two_torsion,
+        image_is_two_torsion=set(images) == set(cg.two_torsion()),
         gauss_holds=rank == field.r - 1,
         kernel_generator_kind=kernel_generator_kind(field, kernel),
     )
 
 
-def wide_two_torsion(field: QuadField, cg: ClassGroup | None = None) -> WideReport:
+def wide_two_torsion(field: QuadField, cg: ClassGroup | None = None, *, max_h: int = DEFAULT_MAX_H) -> WideReport:
     """Rank of the wide class group's 2-torsion, as a quotient of the
     narrow group by the class of the ideal (sqrt d).
 
@@ -169,7 +157,7 @@ def wide_two_torsion(field: QuadField, cg: ClassGroup | None = None) -> WideRepo
     the primes dividing d; 2-torsion of the quotient is counted directly.
     """
     if cg is None:
-        cg = class_group(field.D)
+        cg = class_group(field.D, max_h=max_h)
     narrow = cg.two_torsion_rank
     c = genus_map(field, field.support_d_mask, cg)
     principal = c == cg.identity
@@ -186,7 +174,7 @@ def wide_two_torsion(field: QuadField, cg: ClassGroup | None = None) -> WideRepo
     if principal:
         wide = narrow
     else:
-        killed = sum(1 for x in range(cg.h_plus) if cg.table[x][x] in (cg.identity, c))
+        killed = sum(1 for x in range(cg.h_plus) if cg.mul(x, x) in (cg.identity, c))
         wide = (killed // 2).bit_length() - 1
         if 1 << wide != killed // 2:
             raise ArithmeticError("wide 2-torsion count is not a power of 2 (bug)")

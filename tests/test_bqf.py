@@ -272,11 +272,11 @@ def test_group_axioms_on_table():
         h = cg.h_plus
         e = cg.identity
         for i in range(h):
-            assert cg.table[e][i] == i
-            assert cg.table[i][cg.inv(i)] == e
+            assert cg.mul(e, i) == i
+            assert cg.mul(i, cg.inv(i)) == e
         for i in range(h):
             for j in range(h):
-                assert cg.table[i][j] == cg.table[j][i]
+                assert cg.mul(i, j) == cg.mul(j, i)
 
 
 def test_two_torsion_count_is_genus_rank():
@@ -286,9 +286,60 @@ def test_two_torsion_count_is_genus_rank():
         r = len(factorize(D).primes)
         assert len(cg.two_torsion()) == 1 << (r - 1), D
         assert cg.two_torsion_rank == r - 1, D
-        squares = {cg.table[i][i] for i in range(cg.h_plus)}
+        squares = {cg.mul(i, i) for i in range(cg.h_plus)}
         # squares form the image of squaring; its size is h / 2^(r-1)
         assert len(squares) * (1 << (r - 1)) == cg.h_plus, D
+
+
+def test_group_structure_matches_cayley_table():
+    for D in fundamental_range(1000) + [-29399]:
+        # the Cayley table on cg.reps, from the public compose and reduce
+        cg = class_group(D)
+        pos = {f: i for i, f in enumerate(cg.reps)}
+        table = [[pos[compose(f, g)] for g in cg.reps] for f in cg.reps]
+        e = pos[reduce(principal_form(D))]
+        h = cg.h_plus
+        assert cg.identity == e, D
+        orders = []
+        for x in range(h):
+            n, y = 1, x
+            while y != e:
+                y, n = table[y][x], n + 1
+            orders.append(n)
+        assert [cg.order_of(x) for x in range(h)] == orders, D
+        # an abelian group with invariant factors n_i has prod gcd(m, n_i)
+        # elements killed by m, for every m; these counts fix the group
+        factors = cg.invariant_factors
+        assert all(n > 1 for n in factors), D
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:])), D
+        prod = 1
+        for n in factors:
+            prod *= n
+        assert prod == h, D
+        for m in range(1, h + 1):
+            if h % m == 0:
+                expect = 1
+                for n in factors:
+                    expect *= gcd(m, n)
+                assert sum(1 for o in orders if m % o == 0) == expect, (D, m)
+        two = tuple(x for x in range(h) if table[x][x] == e)
+        assert cg.two_torsion() == two, D
+        span = {e}
+        for x in cg.two_torsion_basis:
+            span |= {table[x][y] for y in span}
+        assert len(span) == 1 << len(cg.two_torsion_basis), D
+        assert tuple(sorted(span)) == two, D
+
+
+def test_class_index_rejects_invalid_forms():
+    cg = class_group(-20)
+    with pytest.raises(ValueError):
+        cg.class_index(Form(-1, 0, -5))  # negative definite
+
+
+def test_class_group_is_hashable():
+    assert hash(class_group(-84)) == hash(class_group(-84))
+    assert class_group(-84) == class_group(-84) != class_group(-104)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +362,8 @@ def test_ambiguous_forms_have_order_two():
     for D in fundamental_range(2000):
         for p in factorize(D).primes:
             f = ambiguous_form(p, D)
+            b = next(b for b in range(2 * p) if (b - D) % 2 == 0 and (b * b - D) % (4 * p) == 0)
+            assert f == Form(p, b, (b * b - D) // (4 * p)), (p, D)
             assert f.disc == D, (p, D)
             assert f.a == p
             assert compose(f, f) == reduce(principal_form(D)), (p, D)

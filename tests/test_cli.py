@@ -110,10 +110,18 @@ def test_cache_record_matches_fresh_recompute(tmp_path, capsys):
 
 def test_scan_cache_tolerates_corruption(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
-    cache.write_text("this is not json\n")
+    cache.write_text('this is not json\n[1]\n"x"\n{"key": 5, "version": "1", "value": {}}\n')
     code, out, _ = run(capsys, "--json", "--cache", str(cache), "scan", "2", "10")
     assert code == 0
     assert json.loads(out)["anomalies"] == []
+
+
+def test_cached_scan_honours_bound(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    assert run(capsys, "--bound", "2", "scan", "--", "-30", "-20")[0] == 3
+    assert run(capsys, "--cache", str(cache), "scan", "--", "-30", "-20")[0] == 0
+    code, _, err = run(capsys, "--bound", "2", "--cache", str(cache), "scan", "--", "-30", "-20")
+    assert code == 3 and "bound" in err
 
 
 def test_scan_workers(capsys):
@@ -221,3 +229,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"bogus": 1}))
     code, _, err = run(capsys, "--config", str(cfg), "genus", "-d", "-5")
     assert code == 2 and "unknown config keys" in err
+
+
+def test_config_file_rejects_wrong_types(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    for bad in ({"workers": "4"}, {"bound": True}, {"json": 1}, {"cache": 5}, [1]):
+        cfg.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "--config", str(cfg), "genus", "-d", "-5")
+        assert code == 2 and "error" in err, bad
