@@ -21,7 +21,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import ResourceLimitError
-from .intkit import factorize
+from .intkit import factorize, is_prime
 
 __all__ = [
     "Form",
@@ -276,10 +276,11 @@ def ambiguous_form(p: int, D: int) -> Form:
     b is the smallest value in 0..2p-1 with b = D (mod 2) and
     b^2 = D (mod 4p); the resulting class has order at most 2. That b is
     0 or p: for odd p, p | D forces p | b, and for p = 2, b is even.
+    Raises ValueError unless p is a prime dividing D.
     """
     _require_fundamental(D)
-    if D % p != 0:
-        raise ValueError(f"{p} is not ramified in discriminant {D}")
+    if not is_prime(p) or D % p != 0:
+        raise ValueError(f"{p} is not a prime ramified in discriminant {D}")
     for b in (0, p):
         if (b - D) % 2 == 0 and (b * b - D) % (4 * p) == 0:
             return Form(p, b, (b * b - D) // (4 * p))
@@ -340,7 +341,7 @@ class ClassGroup:
     invariant_factors: tuple[int, ...]
     two_torsion_basis: tuple[int, ...]
     identity: int
-    _index: dict = field(compare=False)
+    _index: dict = field(compare=False, repr=False)
 
     def class_index(self, f: Form) -> int:
         """Index of the class of an arbitrary primitive form of disc D."""
@@ -357,30 +358,19 @@ class ClassGroup:
         a, b, c = self.reps[i]
         return self.class_index(Form(a, -b, c))
 
-    def pow(self, i: int, n: int) -> int:
-        if n < 0:
-            return self.pow(self.inv(i), -n)
-        if n == 0:
-            return self.identity
-        out = i
-        for bit in bin(n)[3:]:  # left to right, after the leading 1
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, i)
-        return out
-
-    def _order(self, i: int, h_factors) -> int:
-        # the order divides h: strip each prime p while i^(n/p) is trivial
-        n = self.h_plus
-        for p, e in h_factors:
-            for _ in range(e):
-                if self.pow(i, n // p) != self.identity:
-                    break
-                n //= p
-        return n
+    def _powers(self, i: int) -> list[int]:
+        """[i, i^2, ..., identity]: the walk around the cyclic subgroup of
+        class i, one composition per step; its length is the order of i."""
+        walk = [i]
+        for _ in range(self.h_plus):
+            if walk[-1] == self.identity:
+                return walk
+            walk.append(self.mul(walk[-1], i))
+        raise ArithmeticError(f"class {i} has no order dividing h+ = {self.h_plus} (bug)")
 
     def order_of(self, i: int) -> int:
-        return self._order(i, factorize(self.h_plus).factors)
+        """Order of class i, as the length of its walk ``_powers(i)``."""
+        return len(self._powers(i))
 
     def subset_products(self, gens) -> tuple[int, ...]:
         """Product of every subset of ``gens``, indexed by bitmask (bit i
@@ -460,7 +450,7 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_M
 
     Enumerates every reduced form, groups them into classes (cycles when
     D > 0), and extracts the abelian group structure from element orders,
-    each found from the factorisation of h with O(log h) compositions.
+    read off one walk per cyclic subgroup (one composition per step).
     Raises ResourceLimitError when |D| or the class number exceeds the
     configured bounds.
     """
@@ -495,8 +485,15 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_M
     identity = index[_reduced(principal_form(D), D)]
     # the structure is read from the group itself, then filled in
     cg = ClassGroup(D=D, reps=reps, h_plus=h, invariant_factors=(), two_torsion_basis=(), identity=identity, _index=index)
+    # walk from each class no walk has reached yet: in a walk of o steps,
+    # x^j has order o / gcd(j, o)
+    orders = [0] * h
+    for x in range(h):
+        if not orders[x]:
+            walk = cg._powers(x)
+            for j, y in enumerate(walk, 1):
+                orders[y] = len(walk) // gcd(j, len(walk))
     h_factors = factorize(h).factors
-    orders = [cg._order(i, h_factors) for i in range(h)]
     factors = _invariant_factors(orders, h_factors)
     basis = _two_torsion_basis(cg, orders)
     if len(basis) != sum(1 for n in factors if n % 2 == 0):

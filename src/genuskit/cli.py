@@ -48,8 +48,8 @@ class ResultCache:
     """Append-only line-delimited JSON cache keyed by discriminant.
 
     Newest record for a key wins; unparseable lines, and lines whose
-    record lacks the class number or the genus report, are skipped, so a
-    torn write cannot poison the file.
+    record lacks the class number or a genus report key that the checks
+    read, are skipped, so a torn write cannot poison the file.
     """
 
     def __init__(self, path):
@@ -62,7 +62,8 @@ class ResultCache:
                     if not isinstance(rec, dict) or rec.get("version") != SCHEMA_VERSION:
                         continue
                     value = rec["value"]
-                    if isinstance(value["class_group"]["h_plus"], int) and isinstance(value["genus_report"], dict):
+                    rep = value["genus_report"]
+                    if isinstance(value["class_group"]["h_plus"], int) and isinstance(rep, dict) and _REPORT_KEYS <= rep.keys():
                         self.records[rec["key"]] = value
                 except (json.JSONDecodeError, KeyError, TypeError):
                     continue
@@ -90,6 +91,8 @@ class ScanJob:
     def __post_init__(self):
         if self.d_min > self.d_max:
             raise ValueError("d_min must not exceed d_max")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, not {self.workers}")
         if not self.checks:
             raise ValueError("at least one check must be selected")
         for c in self.checks:
@@ -104,6 +107,12 @@ def compute_record(d: int, max_h: int = DEFAULT_MAX_H) -> dict:
         "class_group": cg.to_json_dict(),
         "genus_report": genus_report_json(field, report, wide),
     }
+
+
+# the genus report keys that evaluate_checks reads
+_REPORT_KEYS = frozenset(
+    {"d", "r", "gauss_holds", "kernel_masks", "image_is_two_torsion", "wide_rank", "support_class_principal", "norm_minus_one"}
+)
 
 
 def evaluate_checks(record: dict, checks) -> dict[str, bool | None]:

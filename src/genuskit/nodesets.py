@@ -212,10 +212,17 @@ class SearchOutcome:
         return [format(g, f"0{self.problem.n}b") for g in self.generators]
 
 
-def _verify_witness(problem: WeightCodeProblem, gens: tuple[int, ...]) -> None:
+def _span(gens) -> list[int]:
+    """Every word of the span of ``gens``, indexed by bitmask (bit i
+    selects gens[i]); words[0] is the zero word."""
     words = [0]
     for g in gens:
         words += [w ^ g for w in words]
+    return words
+
+
+def _verify_witness(problem: WeightCodeProblem, gens: tuple[int, ...]) -> None:
+    words = _span(gens)
     if len(set(words)) != 1 << problem.k:
         raise ArithmeticError("witness generators are dependent (bug)")
     for w in words[1:]:
@@ -485,10 +492,7 @@ def quintic_certificate(
         )
         return Certificate(tuple(steps), "CONTRADICTION", problem, search, len(filt))
     dist: dict[int, int] = {}
-    words = [0]
-    for g in search.generators:
-        words += [w ^ g for w in words]
-    for w in words[1:]:
+    for w in _span(search.generators)[1:]:
         dist[w.bit_count()] = dist.get(w.bit_count(), 0) + 1
     steps.append(
         CertStep(

@@ -292,7 +292,7 @@ def test_two_torsion_count_is_genus_rank():
 
 
 def test_group_structure_matches_cayley_table():
-    for D in fundamental_range(1000) + [-29399]:
+    for D in fundamental_range(1000) + [-29399, -3299, -4027, -3896]:
         # the Cayley table on cg.reps, from the public compose and reduce
         cg = class_group(D)
         pos = {f: i for i, f in enumerate(cg.reps)}
@@ -342,6 +342,10 @@ def test_class_group_is_hashable():
     assert class_group(-84) == class_group(-84) != class_group(-104)
 
 
+def test_class_group_repr_omits_index():
+    assert "_index" not in repr(class_group(-84))
+
+
 # ---------------------------------------------------------------------------
 # ambiguous forms
 # ---------------------------------------------------------------------------
@@ -354,8 +358,9 @@ def test_ambiguous_form_examples():
 
 
 def test_ambiguous_form_rejects_unramified():
-    with pytest.raises(ValueError):
-        ambiguous_form(3, -20)
+    for p in (3, 0, -2, 10, 1):  # unramified, zero, negative, composite, unit
+        with pytest.raises(ValueError):
+            ambiguous_form(p, -20)
 
 
 def test_ambiguous_forms_have_order_two():

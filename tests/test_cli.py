@@ -110,7 +110,10 @@ def test_cache_record_matches_fresh_recompute(tmp_path, capsys):
 
 def test_scan_cache_tolerates_corruption(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
-    cache.write_text('this is not json\n[1]\n"x"\n{"key": 5, "version": "1", "value": {}}\n')
+    cache.write_text(
+        'this is not json\n[1]\n"x"\n{"key": 5, "version": "1", "value": {}}\n'
+        '{"key": 5, "version": "1", "value": {"class_group": {"h_plus": 1}, "genus_report": {}}}\n'
+    )
     code, out, _ = run(capsys, "--json", "--cache", str(cache), "scan", "2", "10")
     assert code == 0
     assert json.loads(out)["anomalies"] == []
@@ -129,6 +132,16 @@ def test_scan_workers(capsys):
     assert code == 0
     seq = run(capsys, "--json", "scan", "2", "20")
     assert out == seq[1]
+
+
+def test_scan_rejects_nonpositive_workers(tmp_path, capsys):
+    for w in ("0", "-3"):
+        code, _, err = run(capsys, "--workers", w, "scan", "2", "10")
+        assert code == 2 and "workers" in err, w
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"workers": 0}))
+    code, _, err = run(capsys, "--config", str(cfg), "scan", "2", "10")
+    assert code == 2 and "workers" in err
 
 
 def test_scan_sign_filter(capsys):
