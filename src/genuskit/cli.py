@@ -49,7 +49,8 @@ class ResultCache:
 
     Newest record for a key wins; unparseable lines, and lines whose
     record lacks the class number or a genus report key that the checks
-    read, are skipped, so a torn write cannot poison the file.
+    read, or holds one of the wrong type, are skipped, so a torn write
+    cannot poison the file.
     """
 
     def __init__(self, path):
@@ -63,7 +64,17 @@ class ResultCache:
                         continue
                     value = rec["value"]
                     rep = value["genus_report"]
-                    if isinstance(value["class_group"]["h_plus"], int) and isinstance(rep, dict) and _REPORT_KEYS <= rep.keys():
+                    if (
+                        isinstance(value["class_group"]["h_plus"], int)
+                        and isinstance(rep, dict)
+                        and _REPORT_KEYS <= rep.keys()
+                        # evaluate_checks does arithmetic on these; bools
+                        # are ints to isinstance, so compare the type
+                        and type(rep["d"]) is int
+                        and type(rep["r"]) is int
+                        and type(rep["wide_rank"]) is int
+                        and isinstance(rep["kernel_masks"], list)
+                    ):
                         self.records[rec["key"]] = value
                 except (json.JSONDecodeError, KeyError, TypeError):
                     continue
@@ -407,41 +418,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache", metavar="PATH", help="line-delimited JSON result cache")
     parser.add_argument("--workers", type=int, metavar="N", help="parallel workers for scans (default 1)")
     parser.add_argument("--bound", type=int, metavar="H", help=f"maximum class number (default {DEFAULT_MAX_H})")
+    # --json is also accepted after the subcommand; SUPPRESS leaves the
+    # global value in place when it is not given there
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("genus", help="genus report for one squarefree d")
+    p = sub.add_parser("genus", parents=[json_flag], help="genus report for one squarefree d")
     p.add_argument("-d", type=int, required=True, dest="d")
     p.set_defaults(func=cmd_genus)
 
-    p = sub.add_parser("classgroup", help="narrow class group of a fundamental discriminant")
+    p = sub.add_parser("classgroup", parents=[json_flag], help="narrow class group of a fundamental discriminant")
     p.add_argument("-D", type=int, required=True, dest="D")
     p.set_defaults(func=cmd_classgroup)
 
-    p = sub.add_parser("scan", help="verify checks across a range of d")
+    p = sub.add_parser("scan", parents=[json_flag], help="verify checks across a range of d")
     p.add_argument("d_min", type=int)
     p.add_argument("d_max", type=int)
     p.add_argument("--checks", default=",".join(ALL_CHECKS), help="comma-separated subset of " + ",".join(ALL_CHECKS))
     p.add_argument("--sign", choices=("both", "pos", "neg"), default="both")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("keylemma", help="kernel/rank of a branch configuration JSON file")
+    p = sub.add_parser("keylemma", parents=[json_flag], help="kernel/rank of a branch configuration JSON file")
     p.add_argument("config_file")
     p.set_defaults(func=cmd_keylemma)
 
-    p = sub.add_parser("campedelli", help="parity checks of the Campedelli/Werner branch data")
+    p = sub.add_parser("campedelli", parents=[json_flag], help="parity checks of the Campedelli/Werner branch data")
     p.set_defaults(func=cmd_campedelli)
 
-    p = sub.add_parser("werner", help="Werner branch configuration: parity, kernel, lift")
+    p = sub.add_parser("werner", parents=[json_flag], help="Werner branch configuration: parity, kernel, lift")
     p.set_defaults(func=cmd_werner)
 
-    p = sub.add_parser("nodecode", help="weight-restricted binary code existence")
+    p = sub.add_parser("nodecode", parents=[json_flag], help="weight-restricted binary code existence")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-w", "--weights", required=True, help="comma-separated allowed nonzero weights")
     p.add_argument("--node-budget", type=int, default=None)
     p.set_defaults(func=cmd_nodecode)
 
-    p = sub.add_parser("quintic", help="replay the 32-node quintic node-set chain and report its honest verdict")
+    p = sub.add_parser("quintic", parents=[json_flag], help="replay the 32-node quintic node-set chain and report its honest verdict")
     p.add_argument("--b2", type=int, default=53)
     p.add_argument("--nodes", type=int, default=32)
     p.add_argument("--min-even", type=int, default=16)

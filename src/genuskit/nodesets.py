@@ -230,6 +230,100 @@ def _verify_witness(problem: WeightCodeProblem, gens: tuple[int, ...]) -> None:
             raise ArithmeticError(f"witness span contains forbidden weight {w.bit_count()} (bug)")
 
 
+@lru_cache(maxsize=None)
+def _odd_parities(half: int) -> tuple[tuple[int, ...], ...]:
+    """[q][s] = parity of s & q, for q, s < half."""
+    return tuple(tuple((s & q).bit_count() & 1 for s in range(half)) for q in range(half))
+
+
+def _no_tick(found: int) -> None:
+    return None
+
+
+def _candidate_rows(blocks, depth: int, allowed, tick=_no_tick) -> list[tuple[int, ...]]:
+    """Every new row for a search state, sorted: the tuples c of ones per
+    block (0 <= c[j] <= size of block j, in block order) for which each
+    word "new row + S", 0 <= S < 2^depth, has a weight in ``allowed``
+    (a set of weights in 1..n, n the total block size).
+
+    ``blocks`` is a sequence of (pattern, size) with distinct patterns
+    below 2^depth; span word S is constant on a block, equal to the
+    parity of S & pattern. The row is fixed coarse to fine: level t fixes
+    its ones per group of columns whose block patterns share their low t
+    bits. Level 0 picks the row weight from the menu. Level t + 1 splits
+    each group's count between its two children, after which the 2^t
+    words "new row + 2^t + s", s < 2^t, have exact weights. The groups
+    are split one at a time, and a partial row is pruned as soon as one
+    of those words has no allowed weight of its parity within the range
+    the unsplit groups leave open. At level ``depth`` every group is one
+    block. ``tick`` is called with the number of rows found so far for
+    each row weight and each group split that survives pruning.
+    """
+    n = sum(size for _, size in blocks)
+    # least[x]: the least allowed weight >= x of the same parity as x
+    least = [n + 1] * (n + 3)
+    for x in range(n, -1, -1):
+        least[x] = x if x in allowed else least[x + 2]
+    # sizes[t][q]: columns in blocks whose pattern has low t bits q
+    sizes = [[0] * (1 << t) for t in range(depth + 1)]
+    for pat, size in blocks:
+        for t in range(depth + 1):
+            sizes[t][pat & ((1 << t) - 1)] += size
+    rows = []
+
+    def level(t, count):
+        # count[q] is the new row's ones in group q; the words "new row + S"
+        # for S < 2^t are exact and allowed
+        if t == depth:
+            rows.append(tuple(count[pat] for pat, _ in blocks))
+            return
+        half = 1 << t
+        odd = _odd_parities(half)
+        child = [0] * (2 * half)
+        # low[s]: the least weight the word "new row + half + s" can take
+        low = [0] * half
+        free = []
+        for q in range(half):
+            if not sizes[t][q]:
+                continue
+            c, n0, n1 = count[q], sizes[t + 1][q], sizes[t + 1][q + half]
+            # child q takes c0 in [lo, hi] ones; that adds 2 c0 + n1 - c to
+            # a word even on group q and n0 + c - 2 c0 to an odd one
+            lo, hi = max(0, c - n1), min(n0, c)
+            child[q], child[q + half] = lo, c - lo
+            if hi > lo:
+                free.append((q, lo, hi))
+            even, uneven = 2 * lo + n1 - c, n0 + c - 2 * hi
+            low = [w + (uneven if p else even) for w, p in zip(low, odd[q])]
+        # slack[i]: how far the unsplit groups free[i:] can raise any word
+        slack = [0] * (len(free) + 1)
+        for i in range(len(free) - 1, -1, -1):
+            slack[i] = slack[i + 1] + 2 * (free[i][2] - free[i][1])
+
+        def split(i, low):
+            if i == len(free):
+                level(t + 1, child)
+                return
+            q, lo, hi = free[i]
+            par, room = odd[q], slack[i + 1]
+            for c0 in range(lo, hi + 1):
+                up, down = 2 * (c0 - lo), 2 * (hi - c0)
+                new = [w + (down if p else up) for w, p in zip(low, par)]
+                if all(least[w] <= w + room for w in new):
+                    tick(len(rows))
+                    child[q], child[q + half] = c0, count[q] - c0
+                    split(i + 1, new)
+
+        if all(least[w] <= w + slack[0] for w in low):
+            split(0, low)
+
+    for weight in sorted(allowed):
+        tick(len(rows))
+        level(0, [weight])
+    rows.sort()
+    return rows
+
+
 def code_search(
     problem: WeightCodeProblem,
     *,
@@ -246,11 +340,20 @@ def code_search(
     generator row is constant, and a new row is determined (up to a
     permutation fixing all previous rows) by how many ones it places in
     each block. Every span word is constant on blocks too, so all
-    2^depth new span weights are checked exactly at each extension; any
-    forbidden (or zero, i.e. dependent) word prunes the branch.
-    Explored failing states are memoized by their multiset of (row
-    pattern, size) blocks, which is a complete column-permutation
-    invariant of the partial matrix.
+    2^depth new span weights are checked exactly for each new row; any
+    forbidden (or zero, i.e. dependent) word prunes the row. The rows of
+    a state are enumerated coarse to fine by ``_candidate_rows`` and
+    tried in lexicographic order of their per-block counts. Explored
+    failing states are memoized by their multiset of (row pattern, size)
+    blocks, which is a complete column-permutation invariant of the
+    partial matrix.
+
+    ``nodes`` counts the states visited plus the partial rows the
+    enumeration accepts: a row weight from the menu, and each split of
+    one column group's count that survives pruning. ``node_budget``
+    bounds that count; past it, ``SearchBudgetExceeded`` carries the
+    checkpoint keys n, k, depth_reached, nodes and candidates_found (rows
+    the enumeration in progress has found, 0 between enumerations).
 
     EXISTS outcomes carry generator rows whose full span has been
     re-verified word by word; NONEXISTENT means the space was exhausted.
@@ -261,59 +364,24 @@ def code_search(
         )
     if problem.k == 0:
         return SearchOutcome(problem, True, (), 1)
-    allowed = sorted(problem.allowed)
-    if not allowed:
-        return SearchOutcome(problem, False, None, 1)
     k = problem.k
     nodes = 0
     failed_states: set[tuple] = set()
 
-    def candidate_rows(blocks, depth):
-        """All compositions c (ones per block) whose full new span is
-        allowed, found block by block with interval pruning."""
-        nspan = 1 << depth
-        sizes = [b[1] for b in blocks]
-        # parity[S][j]: value of span word S on block j
-        parity = [
-            [(S & blocks[j][0]).bit_count() & 1 for j in range(len(blocks))] for S in range(nspan)
-        ]
-        suffix = [0] * (len(blocks) + 1)
-        for j in range(len(blocks) - 1, -1, -1):
-            suffix[j] = suffix[j + 1] + sizes[j]
-        results = []
-
-        def extend(j, comp, weights):
-            nonlocal nodes
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise SearchBudgetExceeded(
-                    f"code search exceeded its node budget of {node_budget}",
-                    checkpoint={
-                        "n": problem.n,
-                        "k": problem.k,
-                        "depth_reached": depth,
-                        "nodes": nodes,
-                        "candidates_found": len(results),
-                    },
-                )
-            if j == len(blocks):
-                results.append(tuple(comp))
-                return
-            for c in range(sizes[j] + 1):
-                new_weights = [
-                    w + (sizes[j] - c if parity[S][j] else c) for S, w in enumerate(weights)
-                ]
-                ok = True
-                for w in new_weights:
-                    hi = w + suffix[j + 1]
-                    if not any(w <= a <= hi for a in allowed):
-                        ok = False
-                        break
-                if ok:
-                    extend(j + 1, comp + [c], new_weights)
-
-        extend(0, [], [0] * nspan)
-        return results
+    def tick(depth, found=0):
+        nonlocal nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise SearchBudgetExceeded(
+                f"code search exceeded its node budget of {node_budget}",
+                checkpoint={
+                    "n": problem.n,
+                    "k": k,
+                    "depth_reached": depth,
+                    "nodes": nodes,
+                    "candidates_found": found,
+                },
+            )
 
     def split(blocks, comp, depth):
         out = []
@@ -340,16 +408,11 @@ def code_search(
         return tuple(gens)
 
     def search(blocks, depth):
-        nonlocal nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise SearchBudgetExceeded(
-                f"code search exceeded its node budget of {node_budget}",
-                checkpoint={"n": problem.n, "k": problem.k, "depth_reached": depth, "nodes": nodes},
-            )
+        tick(depth)
         if depth == k:
             return reconstruct(blocks)
-        for comp in candidate_rows(blocks, depth):
+        rows = _candidate_rows(blocks, depth, problem.allowed, lambda found: tick(depth, found))
+        for comp in rows:
             child = split(blocks, comp, depth)
             key = (depth + 1, tuple(sorted(child)))
             if key in failed_states:

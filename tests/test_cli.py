@@ -110,9 +110,18 @@ def test_cache_record_matches_fresh_recompute(tmp_path, capsys):
 
 def test_scan_cache_tolerates_corruption(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
+    # every key the checks read, with values that fail the gauss check if
+    # used; each line below breaks one value's type
+    report = {"d": 5, "r": 1, "gauss_holds": False, "kernel_masks": [], "image_is_two_torsion": False,
+              "wide_rank": 0, "support_class_principal": True, "norm_minus_one": False}
+    mistyped = [{"r": "x"}, {"kernel_masks": 5}, {"d": True}, {"wide_rank": None}]
     cache.write_text(
         'this is not json\n[1]\n"x"\n{"key": 5, "version": "1", "value": {}}\n'
         '{"key": 5, "version": "1", "value": {"class_group": {"h_plus": 1}, "genus_report": {}}}\n'
+        + "".join(
+            json.dumps({"key": 5, "version": "1", "value": {"class_group": {"h_plus": 1}, "genus_report": {**report, **bad}}}) + "\n"
+            for bad in mistyped
+        )
     )
     code, out, _ = run(capsys, "--json", "--cache", str(cache), "scan", "2", "10")
     assert code == 0
@@ -210,6 +219,14 @@ def test_quintic_default(capsys):
     data = json.loads(out)
     assert any("floor(53/2) = 26" in s["arithmetic"] for s in data["steps"])
     assert data["verdict"] == "INCONCLUSIVE"
+
+
+def test_json_flag_after_subcommand(capsys):
+    for argv in (["quintic"], ["scan", "2", "10"], ["nodecode", "-n", "4", "-k", "1", "-w", "4"]):
+        before = run(capsys, "--json", *argv)
+        assert before[0] == 0 and json.loads(before[1])
+        assert run(capsys, *argv, "--json") == before, argv
+        assert run(capsys, "--json", *argv, "--json") == before, argv
 
 
 def test_quintic_31_nodes(capsys):

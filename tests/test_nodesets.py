@@ -8,7 +8,7 @@ code with the search.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -23,6 +23,7 @@ from genuskit.nodesets import (
     krawtchouk_table,
     macwilliams_dual,
     quintic_certificate,
+    _candidate_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -133,9 +134,65 @@ def test_search_bounds():
 
 
 def test_search_budget_checkpoint():
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        code_search(WeightCodeProblem(24, 6, frozenset({8, 12, 16})), node_budget=50)
-    assert exc.value.checkpoint["nodes"] > 0
+    # budgets that run out in the outer search (between enumerations) and
+    # inside the row enumeration all report the same checkpoint keys
+    keys = {"n", "k", "depth_reached", "nodes", "candidates_found"}
+    stopped_in = set()
+    for budget in range(120):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            code_search(WeightCodeProblem(24, 6, frozenset({8, 12, 16})), node_budget=budget)
+        checkpoint = exc.value.checkpoint
+        assert checkpoint.keys() == keys
+        assert checkpoint["nodes"] == budget + 1
+        assert (checkpoint["n"], checkpoint["k"]) == (24, 6)
+        inside = any(entry.name == "_candidate_rows" for entry in exc.traceback)
+        if not inside:
+            assert checkpoint["candidates_found"] == 0
+        stopped_in.add((inside, checkpoint["candidates_found"] > 0))
+    assert {(False, False), (True, False), (True, True)} <= stopped_in
+
+
+def _rows_by_brute_force(blocks, depth, allowed):
+    """Every per-block ones count for which each word "new row + S" of the
+    span has an allowed weight, with the rows laid out as column bit
+    vectors, block after block."""
+    old_rows = [0] * depth
+    col = 0
+    for pat, size in blocks:
+        for j in range(depth):
+            if pat >> j & 1:
+                old_rows[j] |= ((1 << size) - 1) << col
+        col += size
+    span = [0]
+    for row in old_rows:
+        span += [w ^ row for w in span]
+    rows = []
+    for comp in product(*(range(size + 1) for _, size in blocks)):
+        new_row = 0
+        col = 0
+        for (_, size), c in zip(blocks, comp):
+            new_row |= ((1 << c) - 1) << col
+            col += size
+        if all(bin(new_row ^ w).count("1") in allowed for w in span):
+            rows.append(comp)
+    return rows
+
+
+def test_candidate_rows_match_brute_force():
+    rng = random.Random(67)
+    nonempty = 0
+    for _ in range(400):
+        depth = rng.randint(0, 4)
+        n = rng.randint(1, 12)
+        patterns = rng.sample(range(2**depth), rng.randint(1, min(n, 2**depth)))
+        cuts = sorted(rng.sample(range(1, n), len(patterns) - 1))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        blocks = tuple(zip(patterns, sizes))
+        allowed = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        expected = _rows_by_brute_force(blocks, depth, allowed)
+        assert _candidate_rows(blocks, depth, allowed) == expected, (blocks, depth, sorted(allowed))
+        nonempty += bool(expected)
+    assert nonempty >= 100
 
 
 def test_weight_closure_identity():
