@@ -12,6 +12,11 @@ a = c). For D > 0 the reduced forms of a class form a cycle under the
 rho operator, two reduced forms are properly equivalent iff they lie on
 the same cycle, and the canonical representative of a class is the
 lexicographic minimum of its cycle.
+
+``class_group`` lists reduced forms b-first: for each b = D (mod 2), the
+a are the divisors of |b^2 - D|/4 up to its square root, so a <= |c| by
+construction (Cohen, GTM 138, section 5.3). For D > 0 it lists only the
+forms with |a| <= |c|; each rho cycle holds at least one of them.
 """
 
 from __future__ import annotations
@@ -74,6 +79,11 @@ def is_fundamental(D: int) -> bool:
 def _require_fundamental(D: int) -> None:
     if not is_fundamental(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
+
+
+def _require_within(D: int, max_disc: int) -> None:
+    if abs(D) > max_disc:
+        raise ResourceLimitError(f"|D| = {abs(D)} exceeds the bound {max_disc}")
 
 
 def principal_form(D: int) -> Form:
@@ -288,38 +298,40 @@ def ambiguous_form(p: int, D: int) -> Form:
 
 
 def _enumerate_definite(D: int) -> list[Form]:
+    """Every reduced positive definite form of disc D < 0, sorted.
+
+    b runs over 0 <= b <= sqrt(|D|/3) with b = D (mod 2); the a with
+    b <= a <= c are the divisors of (b^2 - D)/4 up to its square root.
+    (a, -b, c) is reduced too unless b = 0, b = a or a = c.
+    """
     forms = []
-    amax = isqrt(-D // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - D) % 2 != 0:
-                continue
-            num = b * b - D
-            if num % (4 * a) != 0:
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (a == c or -b == a):
-                continue
+    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+        num = (b * b - D) // 4
+        for a in [a for a in range(max(b, 1), isqrt(num) + 1) if num % a == 0]:
+            c = num // a
             forms.append(Form(a, b, c))
+            if 0 < b < a < c:
+                forms.append(Form(a, -b, c))
     return sorted(forms)
 
 
 def _enumerate_indefinite(D: int) -> list[Form]:
+    """The reduced forms of disc D > 0 with |a| <= |c|, sorted: one or
+    more seeds per rho cycle, for ``class_group`` to walk.
+
+    With s = isqrt(D), (a, b, c) is reduced iff 0 < b <= s and
+    s - b < 2|a| <= s + b. That condition is symmetric in |a| and |c|,
+    because 4|a||c| = D - b^2 and D is not a square, so running a over
+    the divisors of (D - b^2)/4 up to its square root needs no check on c.
+    Every cycle holds such a form: each form's a is the c of the form
+    before it, so |a| cannot fall all the way round a cycle.
+    """
     forms = []
     s = isqrt(D)
-    for b in range(1, s + 1):
-        if (b - D) % 2 != 0:
-            continue
-        num = b * b - D  # negative: a and c have opposite signs
-        lo = (s - b) // 2 + 1
-        hi = (s + b) // 2
-        for absa in range(lo, hi + 1):
-            if num % (4 * absa) != 0:
-                continue
-            forms.append(Form(absa, b, num // (4 * absa)))
-            forms.append(Form(-absa, b, -(num // (4 * absa))))
+    for b in range(D % 2, s + 1, 2):
+        num = (D - b * b) // 4
+        for a in [a for a in range((s - b) // 2 + 1, isqrt(num) + 1) if num % a == 0]:
+            forms += (Form(a, b, -(num // a)), Form(-a, b, num // a))
     return sorted(forms)
 
 
@@ -448,15 +460,17 @@ def _two_torsion_basis(cg: ClassGroup, orders) -> tuple[int, ...]:
 def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_MAX_DISC) -> ClassGroup:
     """Full narrow class group of a fundamental discriminant.
 
-    Enumerates every reduced form, groups them into classes (cycles when
-    D > 0), and extracts the abelian group structure from element orders,
-    read off one walk per cyclic subgroup (one composition per step).
-    Raises ResourceLimitError when |D| or the class number exceeds the
-    configured bounds.
+    Enumerates reduced forms b-first, with a over the divisors of
+    |b^2 - D|/4 up to its square root: every reduced form when D < 0, and
+    when D > 0 the reduced forms with |a| <= |c|, which seed the rho
+    cycles that make up the classes. The abelian group structure comes
+    from element orders, read off one walk per cyclic subgroup (one
+    composition per step). Raises ResourceLimitError when |D| or the class
+    number exceeds the configured bounds; |D| is checked before D is
+    factorised, so that error wins over ValueError for an invalid D.
     """
+    _require_within(D, max_disc)  # first: the fundamental check factorises D
     _require_fundamental(D)
-    if abs(D) > max_disc:
-        raise ResourceLimitError(f"|D| = {abs(D)} exceeds the bound {max_disc}")
 
     index: dict[Form, int] = {}
     classes: list[list[Form]] = []

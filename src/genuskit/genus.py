@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bqf import ClassGroup, ambiguous_form, class_group, DEFAULT_MAX_H
+from .bqf import ClassGroup, ambiguous_form, class_group, DEFAULT_MAX_DISC, DEFAULT_MAX_H, _require_within
 from .quadfield import QuadField, field_from_d, has_norm_minus_one
 
 __all__ = [
@@ -209,7 +209,12 @@ def genus_report_json(field: QuadField, report: GenusReport, wide: WideReport) -
 
 
 def report_for_d(d: int, *, max_h: int = DEFAULT_MAX_H) -> tuple[QuadField, ClassGroup, GenusReport, WideReport]:
-    """Convenience bundle used by the CLI and the scan harness."""
+    """Convenience bundle used by the CLI and the scan harness.
+
+    |D| is bounded before ``field_from_d`` factorises d (D is d or 4d), so
+    a huge d fails fast with ResourceLimitError, even when it is invalid.
+    """
+    _require_within(d if d % 4 == 1 else 4 * d, DEFAULT_MAX_DISC)
     field = field_from_d(d)
     cg = class_group(field.D, max_h=max_h)
     report = verify_gauss(field, cg=cg)

@@ -1,10 +1,12 @@
 """Tests for binary quadratic forms, reduction, composition, and the
 narrow class group.
 
-The definite class-number oracle is a from-scratch window enumeration
-written here (b-outer loop) sharing no code with the library's a-outer
-enumeration; equivalence for indefinite forms is cross-checked through
-the change-of-variables matrices that reduction reports.
+The definite oracle is the a-outer window scan (a up to sqrt(|D|/3), b
+over (-a, a]) that the library once used; it shares no code with the
+library's b-outer divisor enumeration. The indefinite oracle scans the
+whole inequality window of 2|a| for each b. Equivalence for indefinite
+forms is cross-checked through the change-of-variables matrices that
+reduction reports.
 """
 
 import random
@@ -12,6 +14,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from genuskit import bqf
 from genuskit.bqf import (
     Form,
     ambiguous_form,
@@ -37,21 +40,17 @@ def fundamental_range(bound):
 
 
 def oracle_definite_reduced(D):
-    """All reduced positive definite forms of disc D < 0, b-outer scan."""
+    """All reduced positive definite forms of disc D < 0, a-outer scan."""
     out = set()
-    b = D % 2
-    while b * b <= -D // 3:
-        num = b * b - D
-        a = max(b, 1)
-        while 4 * a * a <= num:
-            if num % (4 * a) == 0:
-                c = num // (4 * a)
-                if gcd(gcd(a, b), c) == 1:
-                    out.add((a, b, c))
-                    if 0 < b < a < c:
-                        out.add((a, -b, c))
-            a += 1
-        b += 2
+    for a in range(1, isqrt(-D // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b - D) % 2 or (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a or (b < 0 and a == c):
+                continue
+            if gcd(gcd(a, b), c) == 1:
+                out.add((a, b, c))
     return out
 
 
@@ -245,9 +244,7 @@ def test_class_group_cyclic_structure():
 
 
 def test_definite_class_numbers_against_oracle():
-    for D in fundamental_range(2000):
-        if D >= 0:
-            continue
+    for D in [D for D in fundamental_range(2000) if D < 0] + [-4735144, -9999991]:
         forms = oracle_definite_reduced(D)
         cg = class_group(D)
         assert cg.h_plus == len(forms), D
@@ -255,10 +252,7 @@ def test_definite_class_numbers_against_oracle():
 
 
 def test_indefinite_reduced_forms_match_oracle():
-    for D in fundamental_range(500):
-        if D <= 0:
-            continue
-        cycles = set()
+    for D in [D for D in fundamental_range(2000) if D > 0] + [1795517, 2184769]:
         reported = set()
         cg = class_group(D)
         for f in cg.reps:
@@ -384,3 +378,19 @@ def test_resource_bounds():
         class_group(-84, max_h=3)
     with pytest.raises(ResourceLimitError):
         class_group(-20, max_disc=10)
+
+
+# the product of two 16-digit primes: factorising it takes seconds
+HUGE_D = -1000000000000128000000000003367
+
+
+def test_disc_bound_checked_before_factorising(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) ran before the bound check")
+
+    monkeypatch.setattr(bqf, "factorize", refuse)
+    with pytest.raises(ResourceLimitError):
+        class_group(HUGE_D)
+    # too large and not fundamental: the bound is reported
+    with pytest.raises(ResourceLimitError):
+        class_group(-16 * 10**7)

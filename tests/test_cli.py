@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from genuskit import bqf, quadfield
 from genuskit.cli import main
 
 
@@ -42,6 +43,18 @@ def test_genus_resource_bound_exit(capsys):
     code, _, err = run(capsys, "--bound", "1", "genus", "-d", "-21")
     assert code == 3
     assert "bound" in err
+
+
+def test_bound_checked_before_factorising(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) ran before the bound check")
+
+    monkeypatch.setattr(bqf, "factorize", refuse)
+    monkeypatch.setattr(quadfield, "factorize", refuse)
+    huge = "-1000000000000128000000000003367"  # the product of two 16-digit primes
+    for argv in (["genus", "-d", huge], ["classgroup", "-D", huge], ["genus", "-d", "-4000000000"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "bound" in err, argv
 
 
 def test_classgroup_json(capsys):
