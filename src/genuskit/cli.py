@@ -12,10 +12,11 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bqf import class_group, DEFAULT_MAX_H
+from .bqf import class_group, DEFAULT_MAX_DISC, DEFAULT_MAX_H, _require_within
 from .errors import ResourceLimitError
 from .genus import genus_report_json, report_for_d
 from .intkit import factorize
@@ -158,7 +159,9 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
 
     Returns the summary dict; cached records are reused and fresh ones
     appended as they are produced, so an interrupted run keeps its
-    partial results.
+    partial results. A d whose |D| exceeds the discriminant bound raises
+    ResourceLimitError before anything is factorised or computed, even a
+    d that is not squarefree.
     """
     candidates = []
     skipped = 0
@@ -168,15 +171,16 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
             continue
         if job.sign == "pos" and d < 0 or job.sign == "neg" and d > 0:
             continue
+        D = d if d % 4 == 1 else 4 * d
+        _require_within(D, DEFAULT_MAX_DISC)  # first: factorising a huge d can take seconds
         if not factorize(d).is_squarefree:
             skipped += 1
             continue
-        candidates.append(d)
+        candidates.append((d, D))
 
     records: dict[int, dict] = {}
     to_compute = []
-    for d in candidates:
-        D = d if d % 4 == 1 else 4 * d
+    for d, D in candidates:
         cached = cache.get(D) if cache else None
         if cached is not None:
             h = cached["class_group"]["h_plus"]
@@ -186,22 +190,16 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
         else:
             to_compute.append(d)
 
-    if job.workers > 1 and len(to_compute) > 1:
-        with ProcessPoolExecutor(max_workers=job.workers) as pool:
-            for d, rec in pool.map(_scan_worker, [(d, job.max_h) for d in to_compute]):
-                records[d] = rec
-                if cache:
-                    cache.put(rec["genus_report"]["D"], rec)
-    else:
-        for d in to_compute:
-            _, rec = _scan_worker((d, job.max_h))
+    parallel = job.workers > 1 and len(to_compute) > 1
+    with ProcessPoolExecutor(max_workers=job.workers) if parallel else nullcontext() as pool:
+        for d, rec in (pool.map if parallel else map)(_scan_worker, [(d, job.max_h) for d in to_compute]):
             records[d] = rec
             if cache:
                 cache.put(rec["genus_report"]["D"], rec)
 
     counts = {c: {"pass": 0, "fail": 0, "not_applicable": 0} for c in job.checks}
     anomalies = []
-    for d in candidates:
+    for d, _ in candidates:
         results = evaluate_checks(records[d], job.checks)
         failing = []
         for check, ok in results.items():

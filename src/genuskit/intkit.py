@@ -36,16 +36,20 @@ def _sieve(limit: int) -> list[int]:
 _SMALL_PRIMES = _sieve(1000)
 
 # Miller-Rabin with these witnesses is a proof of primality below 3.4e14;
-# the larger set is exact below 3.3e24, far past anything desk scale.
+# the larger set (the first 13 primes) is a proof below 3.3e24.
 _MR_SMALL = (2, 3, 5, 7, 11, 13, 17)
 _MR_SMALL_LIMIT = 341_550_071_728_321
 _MR_LARGE = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-_RHO_THRESHOLD = 10**12
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with proven witness sets)."""
+    """Deterministic primality test: Miller-Rabin with fixed witness sets.
+
+    A proof of primality for n < 3.3e24, where these witness sets are
+    known to admit no strong pseudoprime. Above that it is a strong
+    probable-prime test to the 13 bases 2, 3, ..., 41: a composite is
+    very unlikely to pass, but a pass is no longer a proof.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -71,10 +75,14 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """Brent's cycle variant of Pollard rho with a fixed parameter sweep.
+    """A nontrivial divisor of the composite n, by Brent's cycle variant
+    of Pollard rho (Brent, BIT 20, 1980).
 
-    Only called on odd composites with no factor below 1000, so some
-    deterministic choice of (x0, c) always succeeds at our scale.
+    Called on every composite cofactor that trial division by the primes
+    below 1000 leaves, so n is odd and has no prime factor below 1000.
+    The start is fixed at 2 and the constant c is swept from 1, so the
+    result is deterministic; a c whose cycle closes on all of n at once
+    is dropped for the next. ArithmeticError if all 999 values fail.
     """
     for c in range(1, 1000):
         y, m, g, r, q = 2, 128, 1, 1, 1
@@ -106,8 +114,7 @@ def _brent_rho(n: int) -> int:
 class Factorization:
     """Signed prime factorization: value = sign * prod(p**e).
 
-    Primes are strictly increasing and each passed a deterministic
-    primality check.
+    Primes are strictly increasing and each passed ``is_prime``.
     """
 
     value: int
@@ -130,8 +137,8 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a nonzero integer by deterministic trial division, with a
-    rho split for cofactors above 1e12."""
+    """Factor a nonzero integer: trial division by the primes below 1000,
+    then Brent rho splits for a composite cofactor (one at least 997^2)."""
     if n == 0:
         raise ValueError("0 has no prime factorization")
     sign = -1 if n < 0 else 1
@@ -159,29 +166,9 @@ def _factor_large(m: int) -> list[tuple[int, int]]:
     # m odd, no factor below 1000
     if is_prime(m):
         return [(m, 1)]
-    if m < _RHO_THRESHOLD:
-        out = []
-        c = 1009
-        step = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30 starting at 1009
-        i = 0
-        while c * c <= m:
-            if m % c == 0:
-                e = 0
-                while m % c == 0:
-                    m //= c
-                    e += 1
-                out.append((c, e))
-            c += step[i]
-            i = (i + 1) % 8
-        if m > 1:
-            out.append((m, 1))
-        return out
     d = _brent_rho(m)
-    left = _factor_large(d) if not is_prime(d) else [(d, 1)]
-    right_val = m // d
-    right = _factor_large(right_val) if not is_prime(right_val) else [(right_val, 1)]
     merged: dict[int, int] = {}
-    for p, e in left + right:
+    for p, e in _factor_large(d) + _factor_large(m // d):
         merged[p] = merged.get(p, 0) + e
     return sorted(merged.items())
 

@@ -42,6 +42,16 @@ class BranchNotEvenError(ValueError):
     """The branch divisor is not 2-divisible, so no double cover exists."""
 
 
+def _pack_rows(matrix, width: int) -> tuple[int, ...]:
+    # one int per row, bit i set where entry i is odd
+    rows = []
+    for row in matrix:
+        if len(row) != width:
+            raise ValueError(f"matrix row has {len(row)} entries, expected {width}")
+        rows.append(sum(1 << i for i, v in enumerate(row) if v % 2))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class BranchConfiguration:
     """Mod-2 classes of the branch components of a double cover.
@@ -76,14 +86,10 @@ class BranchConfiguration:
         """Build from a list of 0/1 rows (ambient coordinates)."""
         matrix = [list(row) for row in matrix]
         width = len(matrix[0]) if matrix else 0
-        rows = []
-        for row in matrix:
-            if len(row) != width:
-                raise ValueError("ragged matrix")
-            rows.append(sum((1 << i) for i, v in enumerate(row) if v % 2))
+        rows = _pack_rows(matrix, width)
         if width == 0:
             raise ValueError("cannot infer component count from an empty matrix; use from_columns")
-        return cls(width, len(rows), tuple(rows), pic_two_rank, tuple(component_names) if component_names else None)
+        return cls(width, len(rows), rows, pic_two_rank, tuple(component_names) if component_names else None)
 
     @classmethod
     def from_columns(cls, columns, ambient_rank: int, pic_two_rank: int = 0, component_names=None) -> "BranchConfiguration":
@@ -125,16 +131,21 @@ class BranchConfiguration:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BranchConfiguration":
-        rows = tuple(
-            sum((1 << i) for i, v in enumerate(row) if v) for row in data["phi_matrix"]
-        )
-        cfg = cls(
-            n_components=data["n_components"],
-            ambient_rank=data["ambient_rank"],
-            rows=rows,
-            pic_two_rank=data.get("pic_two_rank", 0),
-        )
-        return cfg
+        """Inverse of ``to_json_dict``; ValueError on anything it cannot write.
+
+        The counts must be ints and every phi_matrix entry the int 0 or 1
+        (bools refused, as JSON true/false are not entries), in rows of
+        exactly n_components entries.
+        """
+        counts = {key: data[key] for key in ("n_components", "ambient_rank")}
+        counts["pic_two_rank"] = data.get("pic_two_rank", 0)
+        for key, value in counts.items():
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an integer, not {value!r}")
+        matrix = data["phi_matrix"]
+        if any(type(v) is not int or v not in (0, 1) for row in matrix for v in row):
+            raise ValueError("phi_matrix entries must be 0 or 1")
+        return cls(rows=_pack_rows(matrix, counts["n_components"]), **counts)
 
 
 def kernel_basis(config: BranchConfiguration) -> list[int]:

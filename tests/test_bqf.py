@@ -85,7 +85,7 @@ def test_principal_form_examples():
 
 
 def test_principal_rejects_nonfundamental():
-    for D in (0, 1, 4, -4 * 4, 25, -27, 18):
+    for D in (0, 1, 4, -4 * 4, 25, -27, 18, 1087**2):
         with pytest.raises(ValueError):
             principal_form(D)
 

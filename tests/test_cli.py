@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from genuskit import bqf, quadfield
+from genuskit import bqf, cli, quadfield
 from genuskit.cli import main
 
 
@@ -39,6 +39,18 @@ def test_genus_rejects_nonsquarefree(capsys):
     assert "squarefree" in err
 
 
+def test_fields_with_prime_factors_above_1000(capsys):
+    # 1185917 = 1087 * 1091 and 1181569 = 1087^2: composite cofactors that
+    # trial division by the primes below 1000 leaves whole
+    code, out, _ = run(capsys, "--json", "genus", "-d", "1185917")
+    data = json.loads(out)
+    assert code == 0 and data["r"] == 2 and data["gauss_holds"] is True
+    assert run(capsys, "genus", "-d", "-1181569")[0] == 2
+    assert run(capsys, "classgroup", "-D", "1181569")[0] == 2
+    code, out, _ = run(capsys, "--json", "scan", "1185900", "1186000")
+    assert code == 0 and json.loads(out)["anomalies"] == []
+
+
 def test_genus_resource_bound_exit(capsys):
     code, _, err = run(capsys, "--bound", "1", "genus", "-d", "-21")
     assert code == 3
@@ -51,8 +63,14 @@ def test_bound_checked_before_factorising(monkeypatch, capsys):
 
     monkeypatch.setattr(bqf, "factorize", refuse)
     monkeypatch.setattr(quadfield, "factorize", refuse)
+    monkeypatch.setattr(cli, "factorize", refuse)
     huge = "-1000000000000128000000000003367"  # the product of two 16-digit primes
-    for argv in (["genus", "-d", huge], ["classgroup", "-D", huge], ["genus", "-d", "-4000000000"]):
+    for argv in (
+        ["genus", "-d", huge],
+        ["classgroup", "-D", huge],
+        ["genus", "-d", "-4000000000"],
+        ["scan", "--", huge, huge],
+    ):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "bound" in err, argv
 
@@ -189,6 +207,28 @@ def test_keylemma_bad_file(tmp_path, capsys):
     path.write_text("{nope")
     code, _, err = run(capsys, "--json", "keylemma", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"phi_matrix": [["x", 1]]},
+        {"phi_matrix": [[2, 1]]},
+        {"phi_matrix": [[True, 1]]},
+        {"phi_matrix": [[1, 1, 0]]},
+        {"n_components": 3},
+        {"n_components": True, "phi_matrix": [[0]]},
+        {"ambient_rank": True},
+        {"pic_two_rank": True},
+        {"pic_two_rank": 1.5},
+    ],
+)
+def test_keylemma_rejects_malformed_config(tmp_path, capsys, change):
+    config = {"n_components": 2, "ambient_rank": 1, "pic_two_rank": 0, "phi_matrix": [[1, 1]]}
+    path = tmp_path / "branch.json"
+    path.write_text(json.dumps({**config, **change}))
+    code, _, err = run(capsys, "--json", "keylemma", str(path))
+    assert code == 2 and "branch configuration" in err
 
 
 def test_campedelli_command(capsys):

@@ -88,6 +88,20 @@ def test_factorize_rho_path():
     assert f.factors == ((p, 1), (q, 1))
 
 
+def test_factorize_two_primes_above_1000():
+    # Trial division by the primes below 1000 leaves these whole, so the
+    # cofactor must be split. test_factorize_recombines_exhaustively cannot
+    # see this: for n <= 10^6 < 1009^2 a cofactor with no factor below 1000
+    # is prime, so no composite cofactor reaches _factor_large there.
+    primes = sorted(p for p in _sieve_set(3162) if p >= 1009)
+    for i, p in enumerate(primes):
+        assert factorize(p * p).factors == ((p, 2),), p
+        for q in primes[i + 1 :]:
+            if q >= 3000:
+                break
+            assert factorize(p * q).factors == ((p, 1), (q, 1)), (p, q)
+
+
 def test_is_prime_against_sieve():
     primes = _sieve_set(20000)
     for n in range(20000):

@@ -39,6 +39,7 @@ def test_field_examples():
     assert (f.D, f.ramified, f.r) == (-20, (2, 5), 2)
     f = field_from_d(5)
     assert (f.D, f.ramified, f.r, f.is_real) == (5, (5,), 1, True)
+    assert field_from_d(1087 * 1091).ramified == (1087, 1091)
 
 
 def test_field_rejects_bad_d():
