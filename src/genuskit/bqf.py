@@ -207,18 +207,13 @@ def reduce_with_transform(f: Form) -> tuple[Form, tuple[int, int, int, int]]:
     if D < 0:
         return _reduce_definite(f)
     g, m = _reduce_indef(f, D)
-    # walk the cycle to its lexicographic minimum, accumulating transforms
+    # step round the cycle to its lexicographic minimum, accumulating transforms
+    cycle = _cycle_from(g, D)
     s = isqrt(D)
-    best, best_m = g, m
-    h, cur = g, m
-    for _ in range(_STEP_CAP):
-        h, step = _rho(h, D, s)
-        cur = _mat_mul(cur, step)
-        if h == g:
-            return best, best_m
-        if h < best:
-            best, best_m = h, cur
-    raise ArithmeticError("reduction cycle did not close (bug)")
+    for _ in range(cycle.index(min(cycle))):
+        g, step = _rho(g, D, s)
+        m = _mat_mul(m, step)
+    return g, m
 
 
 def reduce(f: Form) -> Form:
@@ -344,7 +339,8 @@ class ClassGroup:
     index is the class containing the principal form; ``mul`` composes
     two classes on demand. ``invariant_factors`` are in ascending
     divisibility order (n1 | n2 | ...), with the empty tuple for the
-    trivial group.
+    trivial group. ``_orders`` keeps each class's order from the walks
+    that gave the structure; ``order_of`` and ``two_torsion`` read it.
     """
 
     D: int
@@ -354,6 +350,7 @@ class ClassGroup:
     two_torsion_basis: tuple[int, ...]
     identity: int
     _index: dict = field(compare=False, repr=False)
+    _orders: tuple[int, ...] = field(compare=False, repr=False)
 
     def class_index(self, f: Form) -> int:
         """Index of the class of an arbitrary primitive form of disc D."""
@@ -381,8 +378,8 @@ class ClassGroup:
         raise ArithmeticError(f"class {i} has no order dividing h+ = {self.h_plus} (bug)")
 
     def order_of(self, i: int) -> int:
-        """Order of class i, as the length of its walk ``_powers(i)``."""
-        return len(self._powers(i))
+        """Order of class i, as stored by ``class_group``."""
+        return self._orders[i]
 
     def subset_products(self, gens) -> tuple[int, ...]:
         """Product of every subset of ``gens``, indexed by bitmask (bit i
@@ -393,8 +390,8 @@ class ClassGroup:
         return tuple(out)
 
     def two_torsion(self) -> tuple[int, ...]:
-        """Indices of all classes of order at most 2 (identity included)."""
-        return tuple(sorted(self.subset_products(self.two_torsion_basis)))
+        """Indices of all classes of order at most 2 (identity included), ascending."""
+        return tuple(i for i, o in enumerate(self._orders) if o <= 2)
 
     @property
     def two_torsion_rank(self) -> int:
@@ -448,12 +445,16 @@ def _invariant_factors(orders, h_factors) -> tuple[int, ...]:
 
 
 def _two_torsion_basis(cg: ClassGroup, orders) -> tuple[int, ...]:
+    """The classes of order 2 not in the span of those before them, in
+    index order. Each adds one coset to the span: 2^k - 1 compositions."""
     basis: list[int] = []
-    span = {cg.identity}
+    span = [cg.identity]
     for x in range(cg.h_plus):
         if orders[x] == 2 and x not in span:
             basis.append(x)
-            span = set(cg.subset_products(basis))
+            span += [cg.mul(y, x) for y in span]
+    if sorted(span) != [x for x, o in enumerate(orders) if o <= 2]:
+        raise ArithmeticError("2-torsion basis does not span the classes of order <= 2 (bug)")
     return tuple(basis)
 
 
@@ -465,9 +466,10 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_M
     when D > 0 the reduced forms with |a| <= |c|, which seed the rho
     cycles that make up the classes. The abelian group structure comes
     from element orders, read off one walk per cyclic subgroup (one
-    composition per step). Raises ResourceLimitError when |D| or the class
-    number exceeds the configured bounds; |D| is checked before D is
-    factorised, so that error wins over ValueError for an invalid D.
+    composition per step) and kept on the group. Raises
+    ResourceLimitError when |D| or the class number exceeds the
+    configured bounds; |D| is checked before D is factorised, so that
+    error wins over ValueError for an invalid D.
     """
     _require_within(D, max_disc)  # first: the fundamental check factorises D
     _require_fundamental(D)
@@ -498,7 +500,7 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_M
 
     identity = index[_reduced(principal_form(D), D)]
     # the structure is read from the group itself, then filled in
-    cg = ClassGroup(D=D, reps=reps, h_plus=h, invariant_factors=(), two_torsion_basis=(), identity=identity, _index=index)
+    cg = ClassGroup(D=D, reps=reps, h_plus=h, invariant_factors=(), two_torsion_basis=(), identity=identity, _index=index, _orders=())
     # walk from each class no walk has reached yet: in a walk of o steps,
     # x^j has order o / gcd(j, o)
     orders = [0] * h
@@ -519,4 +521,4 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_M
     if prod != h:
         raise ArithmeticError("invariant factors do not multiply to h (bug)")
 
-    return replace(cg, invariant_factors=factors, two_torsion_basis=basis)
+    return replace(cg, invariant_factors=factors, two_torsion_basis=basis, _orders=tuple(orders))

@@ -127,14 +127,13 @@ def kernel_generator_kind(field: QuadField, kernel_subsets: tuple[int, ...]) -> 
     return "other"
 
 
-def verify_gauss(field: QuadField, *, cg: ClassGroup | None = None, max_h: int = DEFAULT_MAX_H) -> GenusReport:
-    """Check rank Cl+[2] = r - 1 and the exactness of the genus map.
+def verify_gauss(field: QuadField, cg: ClassGroup) -> GenusReport:
+    """Check rank Cl+[2] = r - 1 and the exactness of the genus map, on
+    the class group ``cg`` of the field's discriminant.
 
     rank_two_torsion comes from the invariant factors; the image is
     compared against the full 2-torsion subgroup element by element.
     """
-    if cg is None:
-        cg = class_group(field.D, max_h=max_h)
     rank = cg.two_torsion_rank
     images = cg.subset_products(ambiguous_class_indices(field, cg))
     kernel = genus_map_kernel(field, cg, images)
@@ -148,16 +147,14 @@ def verify_gauss(field: QuadField, *, cg: ClassGroup | None = None, max_h: int =
     )
 
 
-def wide_two_torsion(field: QuadField, cg: ClassGroup | None = None, *, max_h: int = DEFAULT_MAX_H) -> WideReport:
+def wide_two_torsion(field: QuadField, cg: ClassGroup) -> WideReport:
     """Rank of the wide class group's 2-torsion, as a quotient of the
-    narrow group by the class of the ideal (sqrt d).
+    narrow group ``cg`` by the class of the ideal (sqrt d).
 
     For d < 0 the narrow and wide groups coincide and the narrow rank is
     returned unchanged. For d > 0 the quotient is by the genus image of
     the primes dividing d; 2-torsion of the quotient is counted directly.
     """
-    if cg is None:
-        cg = class_group(field.D, max_h=max_h)
     narrow = cg.two_torsion_rank
     c = genus_map(field, field.support_d_mask, cg)
     principal = c == cg.identity
@@ -209,7 +206,8 @@ def genus_report_json(field: QuadField, report: GenusReport, wide: WideReport) -
 
 
 def report_for_d(d: int, *, max_h: int = DEFAULT_MAX_H) -> tuple[QuadField, ClassGroup, GenusReport, WideReport]:
-    """Convenience bundle used by the CLI and the scan harness.
+    """Convenience bundle used by the CLI and the scan harness, and the
+    one place that builds the class group for a genus report.
 
     |D| is bounded before ``field_from_d`` factorises d (D is d or 4d), so
     a huge d fails fast with ResourceLimitError, even when it is invalid.
@@ -217,6 +215,6 @@ def report_for_d(d: int, *, max_h: int = DEFAULT_MAX_H) -> tuple[QuadField, Clas
     _require_within(d if d % 4 == 1 else 4 * d, DEFAULT_MAX_DISC)
     field = field_from_d(d)
     cg = class_group(field.D, max_h=max_h)
-    report = verify_gauss(field, cg=cg)
+    report = verify_gauss(field, cg)
     wide = wide_two_torsion(field, cg)
     return field, cg, report, wide

@@ -236,11 +236,7 @@ def _odd_parities(half: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((s & q).bit_count() & 1 for s in range(half)) for q in range(half))
 
 
-def _no_tick(found: int) -> None:
-    return None
-
-
-def _candidate_rows(blocks, depth: int, allowed, tick=_no_tick) -> list[tuple[int, ...]]:
+def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
     """Every new row for a search state, sorted: the tuples c of ones per
     block (0 <= c[j] <= size of block j, in block order) for which each
     word "new row + S", 0 <= S < 2^depth, has a weight in ``allowed``

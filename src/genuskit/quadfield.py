@@ -90,7 +90,8 @@ def field_from_d(d: int) -> QuadField:
         raise ValueError(f"d = {d} does not define a quadratic field")
     fac = factorize(d)
     if not fac.is_squarefree:
-        raise ValueError(f"d = {d} is not squarefree (divisible by {fac.factors[0][0] ** 2} or worse)")
+        p = next(p for p, e in fac.factors if e >= 2)
+        raise ValueError(f"d = {d} is not squarefree (divisible by {p * p} or worse)")
     if d % 4 == 1:
         D = d
         ramified = fac.primes

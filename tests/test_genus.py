@@ -6,7 +6,6 @@ import json
 import pytest
 
 from genuskit.bqf import Form, class_group
-from genuskit.errors import ResourceLimitError
 from genuskit.genus import (
     GenusSubset,
     genus_map,
@@ -89,12 +88,7 @@ def test_wide_examples():
     _, _, _, wide = report_for_d(2)
     assert wide.support_is_principal and wide.norm_minus_one and wide.wide_rank == 0
 
-
-def test_wide_two_torsion_honours_max_h():
-    field = field_from_d(-21)  # h+ = 4
-    with pytest.raises(ResourceLimitError):
-        wide_two_torsion(field, max_h=3)
-    assert wide_two_torsion(field, max_h=4).wide_rank == 2
+    assert wide_two_torsion(field_from_d(-21), class_group(-84)).wide_rank == 2
 
 
 def test_range_properties():

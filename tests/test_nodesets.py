@@ -190,7 +190,7 @@ def test_candidate_rows_match_brute_force():
         blocks = tuple(zip(patterns, sizes))
         allowed = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
         expected = _rows_by_brute_force(blocks, depth, allowed)
-        assert _candidate_rows(blocks, depth, allowed) == expected, (blocks, depth, sorted(allowed))
+        assert _candidate_rows(blocks, depth, allowed, lambda found: None) == expected, (blocks, depth, sorted(allowed))
         nonempty += bool(expected)
     assert nonempty >= 100
 

@@ -46,6 +46,11 @@ def test_field_rejects_bad_d():
     for d in (0, 1, 4, 12, -9, 50):
         with pytest.raises(ValueError):
             field_from_d(d)
+    # the message names the square of the first prime with exponent >= 2
+    with pytest.raises(ValueError, match=r"divisible by 9 or worse"):
+        field_from_d(18)
+    with pytest.raises(ValueError, match=r"divisible by 25 or worse"):
+        field_from_d(-75)
 
 
 def test_ramified_primes_match_discriminant():
