@@ -29,7 +29,6 @@ from .bqf import (
 from .errors import ResourceLimitError, SearchBudgetExceeded
 from .genus import (
     GenusReport,
-    GenusSubset,
     WideReport,
     genus_map,
     genus_map_kernel,

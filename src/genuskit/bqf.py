@@ -17,12 +17,17 @@ lexicographic minimum of its cycle.
 a are the divisors of |b^2 - D|/4 up to its square root, so a <= |c| by
 construction (Cohen, GTM 138, section 5.3). For D > 0 it lists only the
 forms with |a| <= |c|; each rho cycle holds at least one of them.
+
+One loop per sign reduces a form: ``reduce_with_transform`` runs it with
+``track=True`` to accumulate the SL2(Z) change of variables, and
+``_reduced``, behind ``ClassGroup.mul`` and ``class_index``, runs the
+same loop without it and multiplies no matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .errors import ResourceLimitError
@@ -88,9 +93,12 @@ def _require_within(D: int, max_disc: int) -> None:
 
 def principal_form(D: int) -> Form:
     _require_fundamental(D)
-    if D % 4 == 0:
-        return Form(1, 0, -D // 4)
-    return Form(1, 1, (1 - D) // 4)
+    return _principal_form(D)
+
+
+def _principal_form(D: int) -> Form:
+    b = D % 2
+    return Form(1, b, (b - D) // 4)
 
 
 def _check_form(f: Form) -> int:
@@ -117,7 +125,8 @@ def _mat_mul(m, n):
     )
 
 
-def _reduce_definite(f: Form):
+def _reduce_definite(f: Form, track: bool = False):
+    """(reduced form, transform); the identity transform unless ``track``."""
     a, b, c = f
     m = (1, 0, 0, 1)
     for _ in range(_STEP_CAP):
@@ -128,16 +137,12 @@ def _reduce_definite(f: Form):
                 r -= 2 * a
             t = (r - b) // (2 * a)
             b, c = b + 2 * a * t, a * t * t + b * t + c
-            m = _mat_mul(m, (1, t, 0, 1))
-        elif a > c:
+            if track:
+                m = _mat_mul(m, (1, t, 0, 1))
+        elif a > c or b < 0 and a == c:
             a, b, c = c, -b, a
-            m = _mat_mul(m, (0, -1, 1, 0))
-        elif b < 0 and b == -a:
-            b, c = b + 2 * a, a + b + c  # t = 1 translation
-            m = _mat_mul(m, (1, 1, 0, 1))
-        elif b < 0 and a == c:
-            a, b, c = c, -b, a
-            m = _mat_mul(m, (0, -1, 1, 0))
+            if track:
+                m = _mat_mul(m, (0, -1, 1, 0))
         else:
             return Form(a, b, c), m
     raise ArithmeticError("definite reduction did not terminate (bug)")
@@ -148,8 +153,8 @@ def _is_reduced_indef(f: Form, s: int) -> bool:
     return 1 <= f.b <= s and s - f.b + 1 <= 2 * abs(f.a) <= s + f.b
 
 
-def _rho(f: Form, D: int, s: int):
-    """One step of the reduction operator; returns (form, transform)."""
+def _rho(f: Form, D: int, s: int) -> Form:
+    """One step of the reduction operator, without its ``_rho_transform``."""
     _, b, c = f
     ac = abs(c)
     if ac <= s:
@@ -159,18 +164,25 @@ def _rho(f: Form, D: int, s: int):
         r = (-b) % (2 * ac)
         if r > ac:
             r -= 2 * ac
-    t = (r + b) // (2 * c)
-    return Form(c, r, (r * r - D) // (4 * c)), (0, -1, 1, t)
+    return Form(c, r, (r * r - D) // (4 * c))
 
 
-def _reduce_indef(f: Form, D: int):
+def _rho_transform(f: Form, g: Form):
+    """The SL2(Z) matrix of the step from f to g = rho(f)."""
+    return (0, -1, 1, (f.b + g.b) // (2 * f.c))
+
+
+def _reduce_indef(f: Form, D: int, track: bool = False):
+    """(reduced form, transform); the identity transform unless ``track``."""
     s = isqrt(D)
     m = (1, 0, 0, 1)
     for _ in range(_STEP_CAP):
         if _is_reduced_indef(f, s):
             return f, m
-        f, step = _rho(f, D, s)
-        m = _mat_mul(m, step)
+        g = _rho(f, D, s)
+        if track:
+            m = _mat_mul(m, _rho_transform(f, g))
+        f = g
     raise ArithmeticError("indefinite reduction did not terminate (bug)")
 
 
@@ -178,20 +190,20 @@ def _cycle_from(f: Form, D: int):
     """The rho cycle through a reduced form, starting at f."""
     s = isqrt(D)
     cycle = [f]
-    g, _ = _rho(f, D, s)
+    g = _rho(f, D, s)
     for _ in range(_STEP_CAP):
         if g == f:
             return cycle
         if not _is_reduced_indef(g, s):
             raise ArithmeticError(f"rho left the reduced cycle at {g} (bug)")
         cycle.append(g)
-        g, _ = _rho(g, D, s)
+        g = _rho(g, D, s)
     raise ArithmeticError("reduction cycle did not close (bug)")
 
 
 def _reduced(f: Form, D: int) -> Form:
     """A reduced form properly equivalent to f (for D > 0 not necessarily
-    the canonical one), without validation."""
+    the canonical one), without validation or transform."""
     return _reduce_definite(f)[0] if D < 0 else _reduce_indef(f, D)[0]
 
 
@@ -205,20 +217,19 @@ def reduce_with_transform(f: Form) -> tuple[Form, tuple[int, int, int, int]]:
     f = Form(*f)
     D = _check_form(f)
     if D < 0:
-        return _reduce_definite(f)
-    g, m = _reduce_indef(f, D)
+        return _reduce_definite(f, track=True)
+    g, m = _reduce_indef(f, D, track=True)
     # step round the cycle to its lexicographic minimum, accumulating transforms
     cycle = _cycle_from(g, D)
-    s = isqrt(D)
-    for _ in range(cycle.index(min(cycle))):
-        g, step = _rho(g, D, s)
-        m = _mat_mul(m, step)
-    return g, m
+    k = cycle.index(min(cycle))
+    for x, y in zip(cycle[:k], cycle[1 : k + 1]):
+        m = _mat_mul(m, _rho_transform(x, y))
+    return cycle[k], m
 
 
 def reduce(f: Form) -> Form:
     """Canonical reduced representative of the proper equivalence class."""
-    return reduce_with_transform(f)[0]
+    return reduction_cycle(f)[0]
 
 
 def reduction_cycle(f: Form) -> tuple[Form, ...]:
@@ -286,6 +297,12 @@ def ambiguous_form(p: int, D: int) -> Form:
     _require_fundamental(D)
     if not is_prime(p) or D % p != 0:
         raise ValueError(f"{p} is not a prime ramified in discriminant {D}")
+    return _ambiguous_form(p, D)
+
+
+def _ambiguous_form(p: int, D: int) -> Form:
+    """``ambiguous_form`` without validation, for a prime p known to
+    divide the fundamental discriminant D."""
     for b in (0, p):
         if (b - D) % 2 == 0 and (b * b - D) % (4 * p) == 0:
             return Form(p, b, (b * b - D) // (4 * p))
@@ -339,8 +356,9 @@ class ClassGroup:
     index is the class containing the principal form; ``mul`` composes
     two classes on demand. ``invariant_factors`` are in ascending
     divisibility order (n1 | n2 | ...), with the empty tuple for the
-    trivial group. ``_orders`` keeps each class's order from the walks
-    that gave the structure; ``order_of`` and ``two_torsion`` read it.
+    trivial group. ``_orders`` and ``_squares`` keep each class's order
+    and the index of its square, read off the walks that gave the
+    structure; ``order_of`` and ``two_torsion`` read the orders.
     """
 
     D: int
@@ -351,6 +369,11 @@ class ClassGroup:
     identity: int
     _index: dict = field(compare=False, repr=False)
     _orders: tuple[int, ...] = field(compare=False, repr=False)
+    _squares: tuple[int, ...] = field(compare=False, repr=False)
+
+    def _lookup(self, f: Form) -> int:
+        """Index of the class of a primitive form of disc D, unchecked."""
+        return self._index[_reduced(f, self.D)]
 
     def class_index(self, f: Form) -> int:
         """Index of the class of an arbitrary primitive form of disc D."""
@@ -358,14 +381,10 @@ class ClassGroup:
         if f.disc != self.D:
             raise ValueError(f"form {f} has discriminant {f.disc}, expected {self.D}")
         _check_shape(f)
-        return self._index[_reduced(f, self.D)]
+        return self._lookup(f)
 
     def mul(self, i: int, j: int) -> int:
-        return self._index[_reduced(_compose_raw(self.reps[i], self.reps[j], self.D), self.D)]
-
-    def inv(self, i: int) -> int:
-        a, b, c = self.reps[i]
-        return self.class_index(Form(a, -b, c))
+        return self._lookup(_compose_raw(self.reps[i], self.reps[j], self.D))
 
     def _powers(self, i: int) -> list[int]:
         """[i, i^2, ..., identity]: the walk around the cyclic subgroup of
@@ -474,51 +493,44 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_M
     _require_within(D, max_disc)  # first: the fundamental check factorises D
     _require_fundamental(D)
 
-    index: dict[Form, int] = {}
     classes: list[list[Form]] = []
     if D < 0:
-        for f in _enumerate_definite(D):
-            index[f] = len(classes)
-            classes.append([f])
+        classes = [[f] for f in _enumerate_definite(D)]
     else:
+        seen: set[Form] = set()
         for f in _enumerate_indefinite(D):
-            if f in index:
-                continue
-            cyc = _cycle_from(f, D)
-            for g in cyc:
-                index[g] = len(classes)
-            classes.append(cyc)
+            if f not in seen:
+                classes.append(_cycle_from(f, D))
+                seen.update(classes[-1])
     h = len(classes)
     if h > max_h:
         raise ResourceLimitError(f"h+ = {h} exceeds the bound {max_h}")
 
-    # canonical representative = lex-min of the class; reorder classes by it
-    canon = sorted(range(h), key=lambda i: min(classes[i]))
-    relabel = {old: new for new, old in enumerate(canon)}
-    index = {f: relabel[i] for f, i in index.items()}
-    reps = tuple(min(classes[i]) for i in canon)
+    # canonical representative = lex-min of the class; classes in its order
+    classes.sort(key=min)
+    reps = tuple(map(min, classes))
+    index = {g: i for i, cyc in enumerate(classes) for g in cyc}
 
-    identity = index[_reduced(principal_form(D), D)]
+    identity = index[_reduced(_principal_form(D), D)]
     # the structure is read from the group itself, then filled in
-    cg = ClassGroup(D=D, reps=reps, h_plus=h, invariant_factors=(), two_torsion_basis=(), identity=identity, _index=index, _orders=())
+    cg = ClassGroup(D=D, reps=reps, h_plus=h, invariant_factors=(), two_torsion_basis=(), identity=identity, _index=index, _orders=(), _squares=())
     # walk from each class no walk has reached yet: in a walk of o steps,
-    # x^j has order o / gcd(j, o)
-    orders = [0] * h
+    # x^j has order o / gcd(j, o) and its square x^(2j mod o) is on the walk
+    orders, squares = [0] * h, [0] * h
     for x in range(h):
         if not orders[x]:
             walk = cg._powers(x)
+            o = len(walk)
             for j, y in enumerate(walk, 1):
-                orders[y] = len(walk) // gcd(j, len(walk))
+                orders[y] = o // gcd(j, o)
+                squares[y] = walk[2 * j % o - 1]
     h_factors = factorize(h).factors
     factors = _invariant_factors(orders, h_factors)
     basis = _two_torsion_basis(cg, orders)
     if len(basis) != sum(1 for n in factors if n % 2 == 0):
         raise ArithmeticError("2-torsion basis size disagrees with invariant factors (bug)")
 
-    prod = 1
-    for n in factors:
-        prod *= n
-    if prod != h:
+    if prod(factors) != h:
         raise ArithmeticError("invariant factors do not multiply to h (bug)")
 
-    return replace(cg, invariant_factors=factors, two_torsion_basis=basis, _orders=tuple(orders))
+    return replace(cg, invariant_factors=factors, two_torsion_basis=basis, _orders=tuple(orders), _squares=tuple(squares))

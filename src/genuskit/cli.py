@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,12 +51,15 @@ class ResultCache:
     Newest record for a key wins; unparseable lines, and lines whose
     record lacks the class number or a genus report key that the checks
     read, or holds one of the wrong type, are skipped, so a torn write
-    cannot poison the file.
+    cannot poison the file. The first ``put`` opens the file, line-buffered,
+    and keeps it open until ``close``: each record reaches the OS as its
+    line is written.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.records: dict[int, dict] = {}
+        self._out = None
         if self.path.exists():
             for line in self.path.read_text().splitlines():
                 try:
@@ -87,8 +90,14 @@ class ResultCache:
         if D in self.records:
             return
         self.records[D] = value
-        with self.path.open("a") as fh:
-            fh.write(_dump({"key": D, "version": SCHEMA_VERSION, "value": value}) + "\n")
+        if self._out is None:
+            self._out = self.path.open("a", buffering=1)
+        self._out.write(_dump({"key": D, "version": SCHEMA_VERSION, "value": value}) + "\n")
+
+    def close(self) -> None:
+        if self._out is not None:
+            self._out.close()
+            self._out = None
 
 
 @dataclass(frozen=True)
@@ -159,9 +168,11 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
 
     Returns the summary dict; cached records are reused and fresh ones
     appended as they are produced, so an interrupted run keeps its
-    partial results. A d whose |D| exceeds the discriminant bound raises
-    ResourceLimitError before anything is factorised or computed, even a
-    d that is not squarefree.
+    partial results: a killed process loses at most the line it was
+    writing, which the cache loader skips, and the fields its workers
+    (about 8 chunks each) had not yet handed back. A d whose |D| exceeds
+    the bound raises ResourceLimitError before anything is factorised or
+    computed, even a d that is not squarefree.
     """
     candidates = []
     skipped = 0
@@ -190,9 +201,11 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
         else:
             to_compute.append(d)
 
-    parallel = job.workers > 1 and len(to_compute) > 1
+    tasks = [(d, job.max_h) for d in to_compute]
+    parallel = job.workers > 1 and len(tasks) > 1
     with ProcessPoolExecutor(max_workers=job.workers) if parallel else nullcontext() as pool:
-        for d, rec in (pool.map if parallel else map)(_scan_worker, [(d, job.max_h) for d in to_compute]):
+        chunksize = max(1, len(tasks) // (8 * job.workers))
+        for d, rec in pool.map(_scan_worker, tasks, chunksize=chunksize) if parallel else map(_scan_worker, tasks):
             records[d] = rec
             if cache:
                 cache.put(rec["genus_report"]["D"], rec)
@@ -201,15 +214,9 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
     anomalies = []
     for d, _ in candidates:
         results = evaluate_checks(records[d], job.checks)
-        failing = []
         for check, ok in results.items():
-            if ok is None:
-                counts[check]["not_applicable"] += 1
-            elif ok:
-                counts[check]["pass"] += 1
-            else:
-                counts[check]["fail"] += 1
-                failing.append(check)
+            counts[check]["not_applicable" if ok is None else "pass" if ok else "fail"] += 1
+        failing = [check for check, ok in results.items() if ok is False]
         if failing:
             anomalies.append({"d": d, "failed": sorted(failing), "report": records[d]["genus_report"]})
     return {
@@ -270,8 +277,8 @@ def cmd_scan(args) -> int:
         workers=args.workers,
         max_h=args.bound,
     )
-    cache = ResultCache(args.cache) if args.cache else None
-    summary = run_scan(job, cache)
+    with closing(ResultCache(args.cache)) if args.cache else nullcontext() as cache:
+        summary = run_scan(job, cache)
     if args.json:
         print(_dump(summary))
     else:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bqf import ClassGroup, ambiguous_form, class_group, DEFAULT_MAX_DISC, DEFAULT_MAX_H, _require_within
+from .bqf import ClassGroup, ambiguous_form, class_group, DEFAULT_MAX_DISC, DEFAULT_MAX_H, _ambiguous_form, _require_within
 from .quadfield import QuadField, field_from_d, has_norm_minus_one
 
 __all__ = [
     "GenusReport",
-    "GenusSubset",
     "WideReport",
     "ambiguous_class_indices",
     "genus_map",
@@ -28,23 +27,6 @@ __all__ = [
     "verify_gauss",
     "wide_two_torsion",
 ]
-
-
-@dataclass(frozen=True)
-class GenusSubset:
-    """A subset of the ramified primes, encoded as a bitmask over the
-    ascending prime order."""
-
-    field: QuadField
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.field.r):
-            raise ValueError(f"mask {self.mask} out of range for r = {self.field.r}")
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return self.field.mask_primes(self.mask)
 
 
 @dataclass(frozen=True)
@@ -75,18 +57,24 @@ class WideReport:
 
 
 def ambiguous_class_indices(field: QuadField, cg: ClassGroup) -> tuple[int, ...]:
-    """Class of the ramified prime form for each p in R, ascending."""
-    return tuple(cg.class_index(ambiguous_form(p, field.D)) for p in field.ramified)
+    """Class of the ramified prime form for each p in R, ascending.
+
+    ``field_from_d`` and ``class_group`` validated D, so once the two
+    agree on it the forms are built and looked up unchecked.
+    """
+    if field.D != cg.D:
+        raise ValueError(f"field discriminant {field.D} differs from the class group's {cg.D}")
+    return tuple(cg._lookup(_ambiguous_form(p, field.D)) for p in field.ramified)
 
 
-def genus_map(field: QuadField, subset, cg: ClassGroup) -> int:
-    """Class index of the product of ramified prime classes over a subset.
+def genus_map(field: QuadField, mask: int, cg: ClassGroup) -> int:
+    """Class index of the product of ramified prime classes over the
+    subset ``mask`` (bit i selects the i-th smallest ramified prime).
 
     The empty subset maps to the principal class. Composition runs left
     to right over ascending primes with reduction at each step; the order
     is irrelevant by commutativity but fixed for determinism.
     """
-    mask = subset.mask if isinstance(subset, GenusSubset) else subset
     out = cg.identity
     for i in range(field.r):
         if mask >> i & 1:
@@ -127,15 +115,16 @@ def kernel_generator_kind(field: QuadField, kernel_subsets: tuple[int, ...]) -> 
     return "other"
 
 
-def verify_gauss(field: QuadField, cg: ClassGroup) -> GenusReport:
+def verify_gauss(field: QuadField, cg: ClassGroup, images: tuple[int, ...]) -> GenusReport:
     """Check rank Cl+[2] = r - 1 and the exactness of the genus map, on
     the class group ``cg`` of the field's discriminant.
 
-    rank_two_torsion comes from the invariant factors; the image is
+    ``images`` are the genus images of every subset mask, as
+    ``cg.subset_products(ambiguous_class_indices(field, cg))`` builds
+    them. rank_two_torsion comes from the invariant factors; the image is
     compared against the full 2-torsion subgroup element by element.
     """
     rank = cg.two_torsion_rank
-    images = cg.subset_products(ambiguous_class_indices(field, cg))
     kernel = genus_map_kernel(field, cg, images)
     return GenusReport(
         field=field,
@@ -147,31 +136,22 @@ def verify_gauss(field: QuadField, cg: ClassGroup) -> GenusReport:
     )
 
 
-def wide_two_torsion(field: QuadField, cg: ClassGroup) -> WideReport:
+def wide_two_torsion(field: QuadField, cg: ClassGroup, images: tuple[int, ...]) -> WideReport:
     """Rank of the wide class group's 2-torsion, as a quotient of the
     narrow group ``cg`` by the class of the ideal (sqrt d).
 
-    For d < 0 the narrow and wide groups coincide and the narrow rank is
+    ``images`` are the genus images, as ``verify_gauss`` takes them. For
+    d < 0 the narrow and wide groups coincide and the narrow rank is
     returned unchanged. For d > 0 the quotient is by the genus image of
-    the primes dividing d; 2-torsion of the quotient is counted directly.
+    the primes dividing d; 2-torsion of the quotient is counted directly,
+    from the squares ``class_group`` recorded.
     """
-    narrow = cg.two_torsion_rank
-    c = genus_map(field, field.support_d_mask, cg)
+    narrow = wide = cg.two_torsion_rank
+    c = images[field.support_d_mask]
     principal = c == cg.identity
-    if not field.is_real:
-        return WideReport(
-            narrow_rank=narrow,
-            wide_rank=narrow,
-            support_class=c,
-            support_is_principal=principal,
-            norm_minus_one=False,
-            consistent=None,
-        )
-    nmo = has_norm_minus_one(field)
-    if principal:
-        wide = narrow
-    else:
-        killed = sum(1 for x in range(cg.h_plus) if cg.mul(x, x) in (cg.identity, c))
+    nmo = field.is_real and has_norm_minus_one(field)
+    if field.is_real and not principal:
+        killed = sum(1 for s in cg._squares if s in (cg.identity, c))
         wide = (killed // 2).bit_length() - 1
         if 1 << wide != killed // 2:
             raise ArithmeticError("wide 2-torsion count is not a power of 2 (bug)")
@@ -181,7 +161,7 @@ def wide_two_torsion(field: QuadField, cg: ClassGroup) -> WideReport:
         support_class=c,
         support_is_principal=principal,
         norm_minus_one=nmo,
-        consistent=principal == nmo,
+        consistent=principal == nmo if field.is_real else None,
     )
 
 
@@ -215,6 +195,5 @@ def report_for_d(d: int, *, max_h: int = DEFAULT_MAX_H) -> tuple[QuadField, Clas
     _require_within(d if d % 4 == 1 else 4 * d, DEFAULT_MAX_DISC)
     field = field_from_d(d)
     cg = class_group(field.D, max_h=max_h)
-    report = verify_gauss(field, cg)
-    wide = wide_two_torsion(field, cg)
-    return field, cg, report, wide
+    images = cg.subset_products(ambiguous_class_indices(field, cg))
+    return field, cg, verify_gauss(field, cg, images), wide_two_torsion(field, cg, images)

@@ -113,9 +113,10 @@ def test_reduce_idempotent_and_disc_preserved():
             assert reduce(g) == g
 
 
-def _random_form(rng, D):
-    # random primitive form of disc D via a random SL2 transform of principal
-    f = principal_form(D)
+def _random_form(rng, D, f=None):
+    # random primitive form of disc D via a random SL2 transform of f,
+    # by default the principal form
+    f = f or principal_form(D)
     for _ in range(6):
         t = rng.randint(-3, 3)
         a, b, c = f
@@ -267,8 +268,9 @@ def test_group_axioms_on_table():
         h = cg.h_plus
         e = cg.identity
         for i in range(h):
+            a, b, c = cg.reps[i]
             assert cg.mul(e, i) == i
-            assert cg.mul(i, cg.inv(i)) == e
+            assert cg.mul(i, cg.class_index(Form(a, -b, c))) == e
         for i in range(h):
             for j in range(h):
                 assert cg.mul(i, j) == cg.mul(j, i)
@@ -324,6 +326,20 @@ def test_group_structure_matches_cayley_table():
             span |= {table[x][y] for y in span}
         assert len(span) == 1 << len(cg.two_torsion_basis), D
         assert tuple(sorted(span)) == two, D
+
+
+def test_private_paths_match_public_ones():
+    # class_group's recorded squares, the unchecked ambiguous-class lookup
+    # and the transform-free reduction, against the checked public paths
+    rng = random.Random(17)
+    for D in fundamental_range(2000):
+        cg = class_group(D)
+        assert list(cg._squares) == [cg.mul(x, x) for x in range(cg.h_plus)], D
+        for p in factorize(D).primes:
+            assert cg._lookup(bqf._ambiguous_form(p, D)) == cg.class_index(ambiguous_form(p, D)), (p, D)
+        for _ in range(4):
+            f = _random_form(rng, D, rng.choice(cg.reps))
+            assert bqf._reduced(f, D) in reduction_cycle(f), (f, D)
 
 
 def test_class_index_rejects_invalid_forms():

@@ -167,11 +167,38 @@ def test_cached_scan_honours_bound(tmp_path, capsys):
     assert code == 3 and "bound" in err
 
 
-def test_scan_workers(capsys):
-    code, out, _ = run(capsys, "--json", "--workers", "2", "scan", "2", "20")
-    assert code == 0
-    seq = run(capsys, "--json", "scan", "2", "20")
-    assert out == seq[1]
+def test_scan_workers(tmp_path, capsys):
+    # about 370 fields: two workers take them in about 16 chunks
+    outputs = []
+    for workers in ("2", "1"):
+        cache = tmp_path / f"cache-{workers}.jsonl"
+        code, out, _ = run(capsys, "--json", "--workers", workers, "--cache", str(cache), "scan", "--", "-300", "300")
+        assert code == 0
+        outputs.append((out, cache.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_interrupted_scan_keeps_complete_records(tmp_path, monkeypatch):
+    k = 7
+    worker, done = cli._scan_worker, []
+
+    def fail_after_k(args):
+        if len(done) == k:
+            raise RuntimeError("interrupted")
+        done.append(args[0])
+        return worker(args)
+
+    monkeypatch.setattr(cli, "_scan_worker", fail_after_k)
+    path = tmp_path / "cache.jsonl"
+    cache = cli.ResultCache(path)  # not closed before the file is read back
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli.run_scan(cli.ScanJob(-40, 40, cli.ALL_CHECKS), cache)
+    assert len(path.read_text().splitlines()) == k
+    loaded = cli.ResultCache(path).records
+    assert len(loaded) == k
+    for d in done:
+        assert loaded[d if d % 4 == 1 else 4 * d] == json.loads(json.dumps(cli.compute_record(d))), d
+    cache.close()
 
 
 def test_scan_rejects_nonpositive_workers(tmp_path, capsys):

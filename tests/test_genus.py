@@ -7,7 +7,7 @@ import pytest
 
 from genuskit.bqf import Form, class_group
 from genuskit.genus import (
-    GenusSubset,
+    ambiguous_class_indices,
     genus_map,
     genus_map_kernel,
     genus_report_json,
@@ -20,6 +20,10 @@ from genuskit.quadfield import field_from_d, has_norm_minus_one
 
 def squarefree(lo, hi):
     return [d for d in range(lo, hi + 1) if d not in (0, 1) and factorize(d).is_squarefree]
+
+
+def wide_report(field, cg):
+    return wide_two_torsion(field, cg, cg.subset_products(ambiguous_class_indices(field, cg)))
 
 
 def test_genus_map_examples_d_minus5():
@@ -79,7 +83,7 @@ def test_wide_examples():
 
     field = field_from_d(3)
     cg = class_group(12)
-    wide = wide_two_torsion(field, cg)
+    wide = wide_report(field, cg)
     assert wide.narrow_rank == 1 and wide.wide_rank == 0
     assert not wide.support_is_principal  # the class of the ideal above 3
     assert wide.norm_minus_one is False and wide.consistent is True
@@ -88,7 +92,7 @@ def test_wide_examples():
     _, _, _, wide = report_for_d(2)
     assert wide.support_is_principal and wide.norm_minus_one and wide.wide_rank == 0
 
-    assert wide_two_torsion(field_from_d(-21), class_group(-84)).wide_rank == 2
+    assert wide_report(field_from_d(-21), class_group(-84)).wide_rank == 2
 
 
 def test_range_properties():
@@ -112,12 +116,9 @@ def test_wide_rank_drop_matches_norm():
         assert wide.support_is_principal == nmo, d
 
 
-def test_genus_subset_validation():
-    field = field_from_d(-5)
-    s = GenusSubset(field, 0b10)
-    assert s.primes == (5,)
+def test_ambiguous_classes_need_matching_discriminants():
     with pytest.raises(ValueError):
-        GenusSubset(field, 4)
+        ambiguous_class_indices(field_from_d(-5), class_group(-84))
 
 
 def test_report_json_round_trip():
