@@ -3,6 +3,8 @@
 
 The main entry points:
 
+- ``factorize`` / ``is_prime`` / ``cf_expand``: exact factorization and
+  periodic continued fractions.
 - ``field_from_d`` / ``fundamental_unit`` / ``has_norm_minus_one``:
   quadratic field descriptors and unit arithmetic.
 - ``class_group`` / ``reduce`` / ``compose`` / ``ambiguous_form``: binary
@@ -38,12 +40,10 @@ from .genus import (
 from .intkit import (
     Factorization,
     PeriodicCF,
-    cf_convergents,
     cf_expand,
     cf_quotients,
     factorize,
     is_prime,
-    kronecker,
 )
 from .keylemma import (
     BranchConfiguration,

@@ -86,9 +86,9 @@ def _require_fundamental(D: int) -> None:
         raise ValueError(f"{D} is not a fundamental discriminant")
 
 
-def _require_within(D: int, max_disc: int) -> None:
-    if abs(D) > max_disc:
-        raise ResourceLimitError(f"|D| = {abs(D)} exceeds the bound {max_disc}")
+def _require_within(D: int) -> None:
+    if abs(D) > DEFAULT_MAX_DISC:
+        raise ResourceLimitError(f"|D| = {abs(D)} exceeds the bound {DEFAULT_MAX_DISC}")
 
 
 def principal_form(D: int) -> Form:
@@ -278,12 +278,18 @@ def _compose_raw(f: Form, g: Form, D: int) -> Form:
 
 
 def compose(f: Form, g: Form) -> Form:
-    """Composition of two primitive forms, returned canonically reduced."""
+    """Composition of two primitive forms, returned canonically reduced.
+
+    f is checked in full; g then needs only the same discriminant and
+    the shape checks, and the product of two valid forms is valid.
+    """
     f, g = Form(*f), Form(*g)
     D = _check_form(f)
-    if _check_form(g) != D:
+    if g.disc != D:
         raise ValueError(f"discriminant mismatch: {f.disc} vs {g.disc}")
-    return reduce(_compose_raw(f, g, D))
+    _check_shape(g)
+    h = _reduced(_compose_raw(f, g, D), D)
+    return h if D < 0 else min(_cycle_from(h, D))
 
 
 def ambiguous_form(p: int, D: int) -> Form:
@@ -477,7 +483,7 @@ def _two_torsion_basis(cg: ClassGroup, orders) -> tuple[int, ...]:
     return tuple(basis)
 
 
-def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_MAX_DISC) -> ClassGroup:
+def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
     """Full narrow class group of a fundamental discriminant.
 
     Enumerates reduced forms b-first, with a over the divisors of
@@ -486,11 +492,11 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H, max_disc: int = DEFAULT_M
     cycles that make up the classes. The abelian group structure comes
     from element orders, read off one walk per cyclic subgroup (one
     composition per step) and kept on the group. Raises
-    ResourceLimitError when |D| or the class number exceeds the
-    configured bounds; |D| is checked before D is factorised, so that
-    error wins over ValueError for an invalid D.
+    ResourceLimitError when |D| exceeds ``DEFAULT_MAX_DISC`` (10^7) or
+    the class number exceeds ``max_h``; |D| is checked before D is
+    factorised, so that error wins over ValueError for an invalid D.
     """
-    _require_within(D, max_disc)  # first: the fundamental check factorises D
+    _require_within(D)  # first: the fundamental check factorises D
     _require_fundamental(D)
 
     classes: list[list[Form]] = []

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bqf import class_group, DEFAULT_MAX_DISC, DEFAULT_MAX_H, _require_within
+from .bqf import class_group, DEFAULT_MAX_H, _require_within
 from .errors import ResourceLimitError
 from .genus import genus_report_json, report_for_d
 from .intkit import factorize
@@ -172,7 +173,9 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
     writing, which the cache loader skips, and the fields its workers
     (about 8 chunks each) had not yet handed back. A d whose |D| exceeds
     the bound raises ResourceLimitError before anything is factorised or
-    computed, even a d that is not squarefree.
+    computed, even a d that is not squarefree. The pool has at most
+    min(workers, fields to compute, CPU count) processes, however large
+    ``job.workers`` is.
     """
     candidates = []
     skipped = 0
@@ -183,7 +186,7 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
         if job.sign == "pos" and d < 0 or job.sign == "neg" and d > 0:
             continue
         D = d if d % 4 == 1 else 4 * d
-        _require_within(D, DEFAULT_MAX_DISC)  # first: factorising a huge d can take seconds
+        _require_within(D)  # first: factorising a huge d can take seconds
         if not factorize(d).is_squarefree:
             skipped += 1
             continue
@@ -202,10 +205,11 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
             to_compute.append(d)
 
     tasks = [(d, job.max_h) for d in to_compute]
-    parallel = job.workers > 1 and len(tasks) > 1
-    with ProcessPoolExecutor(max_workers=job.workers) if parallel else nullcontext() as pool:
-        chunksize = max(1, len(tasks) // (8 * job.workers))
-        for d, rec in pool.map(_scan_worker, tasks, chunksize=chunksize) if parallel else map(_scan_worker, tasks):
+    # the pool forks all its workers at once, so never more than can run
+    workers = min(job.workers, len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(_scan_worker, tasks, chunksize=max(1, len(tasks) // (8 * workers))) if pool else map(_scan_worker, tasks)
+        for d, rec in results:
             records[d] = rec
             if cache:
                 cache.put(rec["genus_report"]["D"], rec)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bqf import ClassGroup, ambiguous_form, class_group, DEFAULT_MAX_DISC, DEFAULT_MAX_H, _ambiguous_form, _require_within
+from .bqf import ClassGroup, ambiguous_form, class_group, DEFAULT_MAX_H, _ambiguous_form, _require_within
 from .quadfield import QuadField, field_from_d, has_norm_minus_one
 
 __all__ = [
@@ -82,16 +82,14 @@ def genus_map(field: QuadField, mask: int, cg: ClassGroup) -> int:
     return out
 
 
-def genus_map_kernel(field: QuadField, cg: ClassGroup, images=None) -> tuple[int, ...]:
+def genus_map_kernel(field: QuadField, cg: ClassGroup, images: tuple[int, ...]) -> tuple[int, ...]:
     """All subset masks whose genus image is principal.
 
     ``images`` are the genus images of every mask, indexed by mask as
-    ``ClassGroup.subset_products`` builds them; they are built here when
-    not given. Always contains the empty mask; checked to be closed under
+    ``cg.subset_products(ambiguous_class_indices(field, cg))`` builds
+    them. Always contains the empty mask; checked to be closed under
     symmetric difference before returning.
     """
-    if images is None:
-        images = cg.subset_products(ambiguous_class_indices(field, cg))
     kernel = tuple(m for m, x in enumerate(images) if x == cg.identity)
     kset = set(kernel)
     for m1 in kernel:
@@ -169,11 +167,7 @@ def genus_report_json(field: QuadField, report: GenusReport, wide: WideReport) -
     """Flat JSON record for one field; superset of the report fields so
     that scan checks can be re-evaluated from cached records alone."""
     return {
-        "d": field.d,
-        "D": field.D,
-        "ramified": list(field.ramified),
-        "r": field.r,
-        "is_real": field.is_real,
+        **field.to_json_dict(),
         "rank2": report.rank_two_torsion,
         "kernel_masks": list(report.kernel_subsets),
         "kernel_generator_kind": report.kernel_generator_kind,
@@ -192,7 +186,7 @@ def report_for_d(d: int, *, max_h: int = DEFAULT_MAX_H) -> tuple[QuadField, Clas
     |D| is bounded before ``field_from_d`` factorises d (D is d or 4d), so
     a huge d fails fast with ResourceLimitError, even when it is invalid.
     """
-    _require_within(d if d % 4 == 1 else 4 * d, DEFAULT_MAX_DISC)
+    _require_within(d if d % 4 == 1 else 4 * d)
     field = field_from_d(d)
     cg = class_group(field.D, max_h=max_h)
     images = cg.subset_products(ambiguous_class_indices(field, cg))

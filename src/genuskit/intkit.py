@@ -1,5 +1,5 @@
-"""Exact integer foundations: deterministic factorization, the Kronecker
-symbol, and periodic continued fractions of quadratic irrationals.
+"""Exact integer foundations: deterministic factorization and periodic
+continued fractions of quadratic irrationals.
 
 Everything here is pure, exact (arbitrary precision) and deterministic;
 there is no shared mutable state, so every function is safe to call from
@@ -14,13 +14,11 @@ from math import gcd, isqrt
 __all__ = [
     "Factorization",
     "PeriodicCF",
-    "cf_convergents",
     "cf_expand",
     "cf_quotients",
     "cf_state",
     "factorize",
     "is_prime",
-    "kronecker",
 ]
 
 
@@ -173,43 +171,6 @@ def _factor_large(m: int) -> list[tuple[int, int]]:
     return sorted(merged.items())
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), defined for all integers with (a, n) != (0, 0).
-
-    Extends the Jacobi symbol to even and negative lower arguments;
-    multiplicative in both arguments and equal to the Legendre symbol when
-    n is an odd prime.
-    """
-    if a == 0 and n == 0:
-        raise ValueError("kronecker(0, 0) is undefined")
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    k = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            k = -k
-    if n % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        v = 0
-        while n % 2 == 0:
-            n //= 2
-            v += 1
-        if v % 2 == 1 and a % 8 in (3, 5):
-            k = -k
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                k = -k
-        if a % 4 == 3 and n % 4 == 3:
-            k = -k
-        a, n = n % a, a
-    return k if n == 1 else 0
-
-
 @dataclass(frozen=True)
 class PeriodicCF:
     """Eventually periodic continued fraction of (P + sqrt(D)) / Q.
@@ -271,19 +232,6 @@ def cf_quotients(cf: PeriodicCF, count: int) -> list[int]:
     while len(out) < count:
         out.append(cf.period[i % len(cf.period)])
         i += 1
-    return out
-
-
-def cf_convergents(cf: PeriodicCF, count: int) -> list[tuple[int, int]]:
-    """Convergents (h_i, k_i) for i < count."""
-    out = []
-    hm1, hm2, km1, km2 = 1, 0, 0, 1
-    for a in cf_quotients(cf, count):
-        h = a * hm1 + hm2
-        k = a * km1 + km2
-        out.append((h, k))
-        hm2, hm1 = hm1, h
-        km2, km1 = km1, k
     return out
 
 

@@ -82,16 +82,6 @@ class BranchConfiguration:
             raise ValueError("component name count mismatch")
 
     @classmethod
-    def from_matrix(cls, matrix, pic_two_rank: int = 0, component_names=None) -> "BranchConfiguration":
-        """Build from a list of 0/1 rows (ambient coordinates)."""
-        matrix = [list(row) for row in matrix]
-        width = len(matrix[0]) if matrix else 0
-        rows = _pack_rows(matrix, width)
-        if width == 0:
-            raise ValueError("cannot infer component count from an empty matrix; use from_columns")
-        return cls(width, len(rows), rows, pic_two_rank, tuple(component_names) if component_names else None)
-
-    @classmethod
     def from_columns(cls, columns, ambient_rank: int, pic_two_rank: int = 0, component_names=None) -> "BranchConfiguration":
         """Build from per-component class vectors (ints over ambient bits)."""
         columns = list(columns)

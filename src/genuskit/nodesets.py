@@ -75,13 +75,6 @@ class ChiResult:
     integral: bool
     splitting: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": str(self.value),
-            "integral": self.integral,
-            "splitting": self.splitting,
-        }
-
 
 def chi_double_cover(params: EvenSetParams) -> ChiResult:
     """chi(O) of the double cover branched over an even set of r nodes.
@@ -152,7 +145,15 @@ class WeightDistribution:
         return len(self.counts) - 1
 
 
-def feasible_distributions(problem: WeightCodeProblem, *, budget: int = DEFAULT_FILTER_BUDGET) -> list[WeightDistribution]:
+def _check_size(problem: WeightCodeProblem) -> None:
+    # first in the filter too: its Krawtchouk table is O(n^2) and cached
+    if problem.n > DEFAULT_MAX_N or problem.k > DEFAULT_MAX_K:
+        raise ResourceLimitError(
+            f"problem ({problem.n}, {problem.k}) exceeds the configured bounds ({DEFAULT_MAX_N}, {DEFAULT_MAX_K})"
+        )
+
+
+def feasible_distributions(problem: WeightCodeProblem) -> list[WeightDistribution]:
     """All weight distributions supported on the allowed weights whose
     MacWilliams dual is nonnegative and integral.
 
@@ -160,17 +161,22 @@ def feasible_distributions(problem: WeightCodeProblem, *, budget: int = DEFAULT_
     2^k - 1 nonzero words spread over the allowed weights. An empty
     result certifies nonexistence on its own; a nonempty one decides
     nothing (the dual conditions are necessary, not sufficient).
+    Raises ResourceLimitError, before any work, past n = ``DEFAULT_MAX_N``
+    (40) or k = ``DEFAULT_MAX_K`` (8), as ``code_search`` does, and
+    SearchBudgetExceeded past ``DEFAULT_FILTER_BUDGET`` (2,000,000)
+    candidate distributions.
     """
+    _check_size(problem)
     weights = sorted(problem.allowed)
     m = (1 << problem.k) - 1
     t = len(weights)
     if t == 0:
         return [] if m else [WeightDistribution((1,) + (0,) * problem.n)]
     n_candidates = comb(m + t - 1, t - 1)
-    if n_candidates > budget:
+    if n_candidates > DEFAULT_FILTER_BUDGET:
         raise SearchBudgetExceeded(
-            f"{n_candidates} candidate distributions exceed the budget {budget}",
-            checkpoint={"candidates": n_candidates, "budget": budget},
+            f"{n_candidates} candidate distributions exceed the budget {DEFAULT_FILTER_BUDGET}",
+            checkpoint={"candidates": n_candidates, "budget": DEFAULT_FILTER_BUDGET},
         )
     K = krawtchouk_table(problem.n)
     scale = 1 << problem.k
@@ -320,13 +326,7 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
     return rows
 
 
-def code_search(
-    problem: WeightCodeProblem,
-    *,
-    node_budget: int | None = None,
-    max_n: int = DEFAULT_MAX_N,
-    max_k: int = DEFAULT_MAX_K,
-) -> SearchOutcome:
+def code_search(problem: WeightCodeProblem, *, node_budget: int | None = None) -> SearchOutcome:
     """Exhaustive search for an [n, k] code with all nonzero weights in
     the allowed set.
 
@@ -353,11 +353,10 @@ def code_search(
 
     EXISTS outcomes carry generator rows whose full span has been
     re-verified word by word; NONEXISTENT means the space was exhausted.
+    Problems past n = ``DEFAULT_MAX_N`` (40) or k = ``DEFAULT_MAX_K`` (8)
+    raise ResourceLimitError.
     """
-    if problem.n > max_n or problem.k > max_k:
-        raise ResourceLimitError(
-            f"problem ({problem.n}, {problem.k}) exceeds the configured bounds ({max_n}, {max_k})"
-        )
+    _check_size(problem)
     if problem.k == 0:
         return SearchOutcome(problem, True, (), 1)
     k = problem.k

@@ -31,16 +31,6 @@ class QuadField:
     r: int
     is_real: bool
 
-    def subset_mask(self, primes) -> int:
-        """Bitmask over the sorted ramified primes for a subset of them."""
-        mask = 0
-        for p in primes:
-            mask |= 1 << self.ramified.index(p)
-        return mask
-
-    def mask_primes(self, mask: int) -> tuple[int, ...]:
-        return tuple(p for i, p in enumerate(self.ramified) if mask >> i & 1)
-
     @property
     def support_d_mask(self) -> int:
         """Mask of the ramified primes that divide d itself.
@@ -48,7 +38,7 @@ class QuadField:
         For d = 3 (mod 4) this drops 2, which ramifies but does not
         divide d.
         """
-        return self.subset_mask(p for p in self.ramified if self.d % p == 0)
+        return sum(1 << i for i, p in enumerate(self.ramified) if self.d % p == 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,7 +91,7 @@ def field_from_d(d: int) -> QuadField:
     return QuadField(d=d, D=D, ramified=ramified, r=len(ramified), is_real=d > 0)
 
 
-def fundamental_unit(field: QuadField | int) -> QuadUnit:
+def fundamental_unit(field: QuadField) -> QuadUnit:
     """Fundamental unit of the ring of integers of a real quadratic field.
 
     Computed from the continued fraction of sqrt(d) (d = 2, 3 mod 4) or of
@@ -111,8 +101,6 @@ def fundamental_unit(field: QuadField | int) -> QuadUnit:
     the smallest unit > 1 of the maximal order. Its norm is (-1)^(period
     length).
     """
-    if isinstance(field, int):
-        field = field_from_d(field)
     d = field.d
     if d < 0:
         raise ValueError("imaginary quadratic fields have a finite unit group; no fundamental unit")
@@ -138,15 +126,13 @@ def fundamental_unit(field: QuadField | int) -> QuadUnit:
     return unit
 
 
-def has_norm_minus_one(field: QuadField | int) -> bool:
+def has_norm_minus_one(field: QuadField) -> bool:
     """True iff the ring of integers contains a unit of norm -1.
 
     Only meaningful for real fields. For d < 0 every unit has positive
     norm, so this returns False; there the narrow and wide class groups
     coincide anyway and nothing downstream consults this value.
     """
-    if isinstance(field, int):
-        field = field_from_d(field)
     if not field.is_real:
         return False
     return fundamental_unit(field).norm == -1

@@ -38,7 +38,7 @@ from genuskit.nodesets import (
     feasible_distributions,
     quintic_certificate,
 )
-from genuskit.quadfield import has_norm_minus_one
+from genuskit.quadfield import field_from_d, has_norm_minus_one
 
 
 def squarefree(lo, hi):
@@ -74,7 +74,7 @@ def test_criterion_3_narrow_wide_bridge(desk_reports):
         _, _, _, wide = desk_reports[d]
         if wide.consistent is not True:
             bad.append(d)
-        if wide.support_is_principal != has_norm_minus_one(d):
+        if wide.support_is_principal != has_norm_minus_one(field_from_d(d)):
             bad.append(d)
     print("[acceptance 3] form-kernel test agrees with CF norm -1 detection for 2 <= d <= 200: "
           + ("PASS" if not bad else f"FAIL {bad}"))
@@ -115,7 +115,7 @@ def test_criterion_4_spot_values():
     # d = 34: period of sqrt(34) has even length 4, so no norm -1 unit
     cf = cf_expand(0, 1, 34)
     assert cf.period == (1, 4, 1, 10)
-    assert has_norm_minus_one(34) is False
+    assert has_norm_minus_one(field_from_d(34)) is False
     print("[acceptance 4] spot values h(-20), h+(-84), d=34 norm: PASS")
 
 

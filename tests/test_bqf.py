@@ -205,6 +205,24 @@ def test_compose_rejects_mismatched_disc():
         compose(Form(1, 0, 5), Form(1, 0, 3))
 
 
+def test_compose_validates_once(monkeypatch):
+    # f is checked in full (one factorisation); g only against f's
+    # discriminant and for its shape
+    groups = [class_group(D) for D in (-84, 60)]
+    calls = []
+    monkeypatch.setattr(bqf, "factorize", lambda n: calls.append(n) or factorize(n))
+    for cg in groups:
+        calls.clear()
+        assert compose(cg.reps[-1], cg.reps[-2]) == cg.reps[cg.mul(cg.h_plus - 1, cg.h_plus - 2)]
+        assert len(calls) == 1, cg.D
+    # g of another discriminant, fundamental or not, is a mismatch
+    for g in (Form(1, 0, 3), Form(1, 1, 1)):
+        with pytest.raises(ValueError, match="discriminant mismatch"):
+            compose(Form(1, 0, 5), g)
+    with pytest.raises(ValueError, match="negative definite"):
+        compose(Form(1, 0, 21), Form(-1, 0, -21))
+
+
 # ---------------------------------------------------------------------------
 # class groups
 # ---------------------------------------------------------------------------
@@ -394,7 +412,7 @@ def test_resource_bounds():
     with pytest.raises(ResourceLimitError):
         class_group(-84, max_h=3)
     with pytest.raises(ResourceLimitError):
-        class_group(-20, max_disc=10)
+        class_group(-(10**7 + 4))
 
 
 # the product of two 16-digit primes: factorising it takes seconds

@@ -2,10 +2,11 @@
 codes, the scan harness, and cache coherence."""
 
 import json
+import os
 
 import pytest
 
-from genuskit import bqf, cli, quadfield
+from genuskit import bqf, cli, nodesets, quadfield
 from genuskit.cli import main
 
 
@@ -201,6 +202,30 @@ def test_interrupted_scan_keeps_complete_records(tmp_path, monkeypatch):
     cache.close()
 
 
+def test_scan_pool_never_exceeds_cpu_count(monkeypatch):
+    # a pool forks all its workers at once; this fake records the size it
+    # is asked for and maps in-process, so the test starts no process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    serial = cli.run_scan(cli.ScanJob(-40, 40, cli.ALL_CHECKS))
+    assert cli.run_scan(cli.ScanJob(-40, 40, cli.ALL_CHECKS, workers=10**6)) == serial
+    assert all(size <= (os.cpu_count() or 1) for size in sizes), sizes
+
+
 def test_scan_rejects_nonpositive_workers(tmp_path, capsys):
     for w in ("0", "-3"):
         code, _, err = run(capsys, "--workers", w, "scan", "2", "10")
@@ -291,6 +316,15 @@ def test_nodecode_nonexistent_with_stage_attribution(capsys):
     assert data["search"] == "NONEXISTENT"
     assert data["filter_conclusive"] is True
     assert data["decided_by"] == "macwilliams+search"
+
+
+def test_nodecode_size_checked_before_filter(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"krawtchouk_table({n}) ran before the size check")
+
+    monkeypatch.setattr(nodesets, "krawtchouk_table", refuse)
+    code, _, err = run(capsys, "nodecode", "-n", "100000", "-k", "1", "-w", "7")
+    assert code == 3 and "bound" in err
 
 
 def test_quintic_default(capsys):

@@ -48,13 +48,10 @@ def test_genus_map_is_homomorphism():
 
 
 def test_kernel_examples():
-    field = field_from_d(3)  # R = (2, 3)
-    cg = class_group(12)
-    assert genus_map_kernel(field, cg) == (0, 0b11)
-    field = field_from_d(-1)
-    assert genus_map_kernel(field, class_group(-4)) == (0, 1)
-    field = field_from_d(-5)
-    assert genus_map_kernel(field, class_group(-20)) == (0, 0b10)
+    for d, kernel in ((3, (0, 0b11)), (-1, (0, 1)), (-5, (0, 0b10))):  # R = (2, 3), (2,), (2, 5)
+        field = field_from_d(d)
+        cg = class_group(field.D)
+        assert genus_map_kernel(field, cg, cg.subset_products(ambiguous_class_indices(field, cg))) == kernel, d
 
 
 def test_kernel_generator_kinds():

@@ -1,23 +1,20 @@
 """Tests for the integer foundations.
 
 Oracles used here are kept independent of the library code paths:
-recombination by direct multiplication, Euler's criterion for the
-Kronecker symbol, and a from-scratch continued fraction stepper.
+recombination by direct multiplication and a from-scratch continued
+fraction stepper.
 """
 
-import random
 from math import isqrt
 
 import pytest
 
 from genuskit.intkit import (
-    cf_convergents,
     cf_expand,
     cf_quotients,
     cf_state,
     factorize,
     is_prime,
-    kronecker,
 )
 
 
@@ -109,58 +106,6 @@ def test_is_prime_against_sieve():
 
 
 # ---------------------------------------------------------------------------
-# kronecker
-# ---------------------------------------------------------------------------
-
-
-def test_kronecker_examples():
-    assert kronecker(1, 7) == 1
-    assert kronecker(2, 7) == 1  # 3^2 = 2 (mod 7)
-    assert kronecker(-1, 5) == 1  # 2^2 = -1 (mod 5)
-
-
-def test_kronecker_euler_criterion():
-    # oracle: a^((p-1)/2) mod p for every odd prime p <= 500, all residues
-    for p in sorted(_sieve_set(500)):
-        if p == 2:
-            continue
-        for a in range(p):
-            e = pow(a, (p - 1) // 2, p)
-            expected = 0 if e == 0 else (1 if e == 1 else -1)
-            assert kronecker(a, p) == expected, (a, p)
-            assert kronecker(a - p, p) == expected, (a - p, p)
-
-
-def test_kronecker_multiplicative():
-    rng = random.Random(7)
-    for _ in range(300):
-        a, b = rng.randint(-60, 60), rng.randint(-60, 60)
-        n = rng.randint(-60, 60)
-        if n == 0 and (a * b == 0 or a == 0 or b == 0):
-            continue
-        if (a, n) == (0, 0) or (b, n) == (0, 0) or (a * b, n) == (0, 0):
-            continue
-        assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
-    for _ in range(300):
-        a = rng.randint(-60, 60)
-        m, n = rng.randint(-60, 60), rng.randint(-60, 60)
-        if 0 in (m, n) or (a, m * n) == (0, 0):
-            continue
-        assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
-
-
-def test_kronecker_edges():
-    assert kronecker(1, 0) == 1
-    assert kronecker(-1, 0) == 1
-    assert kronecker(5, 0) == 0
-    assert kronecker(3, 2) == -1
-    assert kronecker(7, 2) == 1
-    assert kronecker(4, 2) == 0
-    with pytest.raises(ValueError):
-        kronecker(0, 0)
-
-
-# ---------------------------------------------------------------------------
 # continued fractions
 # ---------------------------------------------------------------------------
 
@@ -224,13 +169,15 @@ def test_cf_period_minimality():
 
 
 def test_cf_pell_convergent():
-    # the convergent just before the period end solves x^2 - D y^2 = ±1
+    # the convergent just before the period end solves x^2 - D y^2 = ±1;
+    # convergents h/k by h_i = a_i h_(i-1) + h_(i-2), and likewise k
     for D in range(2, 1001):
         if isqrt(D) ** 2 == D:
             continue
         cf = cf_expand(0, 1, D)
-        idx = len(cf.preperiod) + len(cf.period) - 1
-        x, y = cf_convergents(cf, idx)[-1]
+        x, x0, y, y0 = 1, 0, 0, 1
+        for a in cf_quotients(cf, len(cf.preperiod) + len(cf.period) - 1):
+            x, x0, y, y0 = a * x + x0, x, a * y + y0, y
         assert abs(x * x - D * y * y) == 1, D
 
 

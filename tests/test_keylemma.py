@@ -211,14 +211,6 @@ def test_config_json_round_trip():
         assert kernel_mod_e(back) == kernel_mod_e(config)
 
 
-def test_from_matrix_matches_from_columns():
-    rows = [[1, 0, 1, 0], [0, 1, 1, 0]]
-    a = BranchConfiguration.from_matrix(rows)
-    cols = [0b01, 0b10, 0b11, 0b00]
-    b = BranchConfiguration.from_columns(cols, ambient_rank=2)
-    assert a.rows == b.rows
-
-
 def test_engine_matches_genus_rank():
     for d in (-5, -21, -105, 3, 6, 30, -1, 210):
         field, _, report, _ = report_for_d(d)

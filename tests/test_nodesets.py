@@ -110,8 +110,18 @@ def test_feasible_empty_certifies_nonexistence():
 
 
 def test_feasible_budget():
-    with pytest.raises(SearchBudgetExceeded):
-        feasible_distributions(WeightCodeProblem(20, 8, frozenset(range(1, 21))), budget=10)
+    # about 10^29 candidate distributions, past the budget of 2 * 10^6
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        feasible_distributions(WeightCodeProblem(20, 8, frozenset(range(1, 21))))
+    assert exc.value.checkpoint == {"candidates": comb(255 + 19, 19), "budget": 2_000_000}
+
+
+def test_feasible_size_bounds():
+    # the filter refuses what the search refuses, before any table is built
+    for problem in (WeightCodeProblem(41, 1, frozenset({4})), WeightCodeProblem(20, 9, frozenset({4}))):
+        with pytest.raises(ResourceLimitError) as exc:
+            feasible_distributions(problem)
+        assert not isinstance(exc.value, SearchBudgetExceeded)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +138,7 @@ def test_search_trivial_exists():
 
 def test_search_bounds():
     with pytest.raises(ResourceLimitError):
-        code_search(WeightCodeProblem(41, 1, frozenset({4})), max_n=40)
+        code_search(WeightCodeProblem(41, 1, frozenset({4})))
     with pytest.raises(ResourceLimitError):
         code_search(WeightCodeProblem(20, 9, frozenset({4})))
 

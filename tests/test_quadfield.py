@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from genuskit.intkit import cf_convergents, cf_expand, factorize
+from genuskit.intkit import cf_expand, cf_quotients, factorize
 from genuskit.quadfield import field_from_d, fundamental_unit, has_norm_minus_one
 
 _SQ_RES = {(r * r) % 5760 for r in range(5760)}
@@ -71,9 +71,9 @@ def test_support_mask():
 
 
 def test_fundamental_unit_examples():
-    u = fundamental_unit(2)
+    u = fundamental_unit(field_from_d(2))
     assert (u.x, u.y, u.halved, u.norm) == (1, 1, False, -1)
-    u = fundamental_unit(5)
+    u = fundamental_unit(field_from_d(5))
     assert (u.x, u.y, u.halved, u.norm) == (1, 1, True, -1)
     # d=3: brute-force minimal (x, y) with |x^2 - 3 y^2| = 1 is (2, 1)
     best = None
@@ -85,13 +85,13 @@ def test_fundamental_unit_examples():
         if best:
             break
     assert best == (2, 1)
-    u = fundamental_unit(3)
+    u = fundamental_unit(field_from_d(3))
     assert (u.x, u.y, u.halved, u.norm) == (2, 1, False, 1)
 
 
 def test_fundamental_unit_is_unit_across_range():
     for d in _squarefree_range(2, 300):
-        u = fundamental_unit(d)
+        u = fundamental_unit(field_from_d(d))
         val = u.x * u.x - d * u.y * u.y
         assert val in ((-4, 4) if u.halved else (-1, 1)), d
         assert u.x > 0 and u.y > 0
@@ -99,24 +99,27 @@ def test_fundamental_unit_is_unit_across_range():
 
 def test_fundamental_unit_minimal_against_convergents():
     # for d = 2, 3 (mod 4) the unit must be the first convergent of sqrt(d)
-    # hitting |x^2 - d y^2| = 1
+    # hitting |x^2 - d y^2| = 1; convergents x/y by x_i = a_i x_(i-1) +
+    # x_(i-2), and likewise y
     for d in _squarefree_range(2, 200):
         if d % 4 == 1:
             continue
         cf = cf_expand(0, 1, d)
         first = None
-        for x, y in cf_convergents(cf, len(cf.preperiod) + 2 * len(cf.period)):
+        x, x0, y, y0 = 1, 0, 0, 1
+        for a in cf_quotients(cf, len(cf.preperiod) + 2 * len(cf.period)):
+            x, x0, y, y0 = a * x + x0, x, a * y + y0, y
             if abs(x * x - d * y * y) == 1:
                 first = (x, y)
                 break
-        u = fundamental_unit(d)
+        u = fundamental_unit(field_from_d(d))
         assert first == (u.x, u.y), d
 
 
 def test_fundamental_unit_minimal_brute_small():
     # independent minimality check on small d: no smaller y works
     for d in _squarefree_range(2, 60):
-        u = fundamental_unit(d)
+        u = fundamental_unit(field_from_d(d))
         uy = u.y if u.halved else 2 * u.y
         for y in range(1, uy):
             t = d * y * y - 4
@@ -128,16 +131,16 @@ def test_fundamental_unit_minimal_brute_small():
 
 def test_fundamental_unit_rejects_imaginary():
     with pytest.raises(ValueError):
-        fundamental_unit(-5)
+        fundamental_unit(field_from_d(-5))
 
 
 def test_norm_minus_one_examples():
-    assert has_norm_minus_one(2) is True
-    assert has_norm_minus_one(3) is False
+    assert has_norm_minus_one(field_from_d(2)) is True
+    assert has_norm_minus_one(field_from_d(3)) is False
     # d = 34: period of sqrt(34) has even length 4, and brute force agrees
     assert cf_expand(0, 1, 34).period == (1, 4, 1, 10)
     assert _brute_norm_minus_one(34, 10**4) is False
-    assert has_norm_minus_one(34) is False
+    assert has_norm_minus_one(field_from_d(34)) is False
 
 
 def test_norm_minus_one_brute_force_agreement():
@@ -148,11 +151,11 @@ def test_norm_minus_one_brute_force_agreement():
     # with a prime factor p = 3 (mod 4) are proven False via the local
     # obstruction x^2 = -1 (mod p).
     for d in _squarefree_range(2, 300):
-        claim = has_norm_minus_one(d)
+        claim = has_norm_minus_one(field_from_d(d))
         if _brute_norm_minus_one(d):
             assert claim is True, d
         if claim:
-            u = fundamental_unit(d)
+            u = fundamental_unit(field_from_d(d))
             den = 4 if u.halved else 1
             assert u.x * u.x - d * u.y * u.y == -den, d
         if any(p % 4 == 3 for p in factorize(d).primes):
@@ -162,10 +165,10 @@ def test_norm_minus_one_brute_force_agreement():
 def test_norm_minus_one_beyond_sweep_bound():
     # the known large-minimal-solution fields; exact arithmetic, no sweep
     for d, y_min in ((193, 126985), (241, 9148450 // 2), (281, 63445)):
-        u = fundamental_unit(d)
+        u = fundamental_unit(field_from_d(d))
         assert u.norm == -1 and u.y == y_min, d
 
 
 def test_norm_minus_one_imaginary_is_false():
     for d in (-1, -2, -3, -5, -163):
-        assert has_norm_minus_one(d) is False
+        assert has_norm_minus_one(field_from_d(d)) is False
