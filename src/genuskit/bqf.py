@@ -364,7 +364,7 @@ class ClassGroup:
     divisibility order (n1 | n2 | ...), with the empty tuple for the
     trivial group. ``_orders`` and ``_squares`` keep each class's order
     and the index of its square, read off the walks that gave the
-    structure; ``order_of`` and ``two_torsion`` read the orders.
+    structure; ``two_torsion`` reads the orders.
     """
 
     D: int
@@ -401,10 +401,6 @@ class ClassGroup:
                 return walk
             walk.append(self.mul(walk[-1], i))
         raise ArithmeticError(f"class {i} has no order dividing h+ = {self.h_plus} (bug)")
-
-    def order_of(self, i: int) -> int:
-        """Order of class i, as stored by ``class_group``."""
-        return self._orders[i]
 
     def subset_products(self, gens) -> tuple[int, ...]:
         """Product of every subset of ``gens``, indexed by bitmask (bit i
@@ -494,8 +490,11 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
     composition per step) and kept on the group. Raises
     ResourceLimitError when |D| exceeds ``DEFAULT_MAX_DISC`` (10^7) or
     the class number exceeds ``max_h``; |D| is checked before D is
-    factorised, so that error wins over ValueError for an invalid D.
+    factorised, so that error wins over ValueError for an invalid D. A
+    ``max_h`` below 1 is a ValueError, raised before anything else.
     """
+    if max_h < 1:
+        raise ValueError(f"max_h must be at least 1, not {max_h}")
     _require_within(D)  # first: the fundamental check factorises D
     _require_fundamental(D)
 

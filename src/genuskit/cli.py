@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
@@ -46,49 +47,82 @@ def _dump(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+# the start of every line _dump writes to the cache: sort_keys puts "key" first
+_KEY_PREFIX = re.compile(r'\{"key": (-?[0-9]+), ')
+
+
+def _valid_value(line: str, D: int):
+    """The value of the cache line ``line`` if it decodes to a record of
+    the current schema for key ``D`` whose class number and checked
+    genus report keys have the right types, else None."""
+    try:
+        rec = json.loads(line)
+        if not isinstance(rec, dict) or rec.get("version") != SCHEMA_VERSION:
+            return None
+        value = rec["value"]
+        rep = value["genus_report"]
+        if (
+            rec["key"] == D
+            and isinstance(value["class_group"]["h_plus"], int)
+            and isinstance(rep, dict)
+            and _REPORT_KEYS <= rep.keys()
+            # evaluate_checks does arithmetic on these; bools are ints to
+            # isinstance, so compare the type
+            and type(rep["d"]) is int
+            and type(rep["r"]) is int
+            and type(rep["wide_rank"]) is int
+            and isinstance(rep["kernel_masks"], list)
+        ):
+            return value
+    except (json.JSONDecodeError, KeyError, TypeError):
+        pass
+    return None
+
+
 class ResultCache:
     """Append-only line-delimited JSON cache keyed by discriminant.
 
-    Newest record for a key wins; unparseable lines, and lines whose
-    record lacks the class number or a genus report key that the checks
-    read, or holds one of the wrong type, are skipped, so a torn write
-    cannot poison the file. The first ``put`` opens the file, line-buffered,
-    and keeps it open until ``close``: each record reaches the OS as its
-    line is written.
+    Loading only indexes the file: each line is filed under the key that
+    ``_dump``'s canonical prefix ``{"key": <int>, `` names, and a line
+    without that prefix is decoded to learn its key. A record is decoded
+    and validated when ``get`` first asks for its key, newest line first,
+    and the first valid one is kept in ``records``. So the newest valid
+    record for a key wins, and unparseable lines, and lines whose record
+    lacks the class number or a genus report key that the checks read,
+    or holds one of the wrong type, are skipped: a torn write cannot
+    poison the file. A line is served only for the key it is filed under,
+    and only if its decoded ``key`` equals that key: a line whose decoded
+    ``key`` differs from its prefix key (a hand edit with two ``key``
+    members) is served for neither. The first ``put`` opens the file,
+    line-buffered, and keeps it open until ``close``: each record
+    reaches the OS as its line is written.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.records: dict[int, dict] = {}
+        self._lines: dict[int, list[str]] = {}  # undecoded, oldest first
         self._out = None
         if self.path.exists():
             for line in self.path.read_text().splitlines():
+                m = _KEY_PREFIX.match(line)
                 try:
-                    rec = json.loads(line)
-                    if not isinstance(rec, dict) or rec.get("version") != SCHEMA_VERSION:
-                        continue
-                    value = rec["value"]
-                    rep = value["genus_report"]
-                    if (
-                        isinstance(value["class_group"]["h_plus"], int)
-                        and isinstance(rep, dict)
-                        and _REPORT_KEYS <= rep.keys()
-                        # evaluate_checks does arithmetic on these; bools
-                        # are ints to isinstance, so compare the type
-                        and type(rep["d"]) is int
-                        and type(rep["r"]) is int
-                        and type(rep["wide_rank"]) is int
-                        and isinstance(rep["kernel_masks"], list)
-                    ):
-                        self.records[rec["key"]] = value
+                    key = int(m[1]) if m else json.loads(line)["key"]
+                    self._lines.setdefault(key, []).append(line)
                 except (json.JSONDecodeError, KeyError, TypeError):
                     continue
 
     def get(self, D: int):
+        if D not in self.records:
+            for line in reversed(self._lines.pop(D, ())):
+                value = _valid_value(line, D)
+                if value is not None:
+                    self.records[D] = value
+                    break
         return self.records.get(D)
 
     def put(self, D: int, value: dict) -> None:
-        if D in self.records:
+        if self.get(D) is not None:
             return
         self.records[D] = value
         if self._out is None:
@@ -115,6 +149,8 @@ class ScanJob:
             raise ValueError("d_min must not exceed d_max")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, not {self.workers}")
+        if self.max_h < 1:
+            raise ValueError(f"max_h must be at least 1, not {self.max_h}")
         if not self.checks:
             raise ValueError("at least one check must be selected")
         for c in self.checks:

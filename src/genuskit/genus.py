@@ -82,7 +82,7 @@ def genus_map(field: QuadField, mask: int, cg: ClassGroup) -> int:
     return out
 
 
-def genus_map_kernel(field: QuadField, cg: ClassGroup, images: tuple[int, ...]) -> tuple[int, ...]:
+def genus_map_kernel(cg: ClassGroup, images: tuple[int, ...]) -> tuple[int, ...]:
     """All subset masks whose genus image is principal.
 
     ``images`` are the genus images of every mask, indexed by mask as
@@ -123,7 +123,7 @@ def verify_gauss(field: QuadField, cg: ClassGroup, images: tuple[int, ...]) -> G
     compared against the full 2-torsion subgroup element by element.
     """
     rank = cg.two_torsion_rank
-    kernel = genus_map_kernel(field, cg, images)
+    kernel = genus_map_kernel(cg, images)
     return GenusReport(
         field=field,
         rank_two_torsion=rank,

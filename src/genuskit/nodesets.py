@@ -354,8 +354,11 @@ def code_search(problem: WeightCodeProblem, *, node_budget: int | None = None) -
     EXISTS outcomes carry generator rows whose full span has been
     re-verified word by word; NONEXISTENT means the space was exhausted.
     Problems past n = ``DEFAULT_MAX_N`` (40) or k = ``DEFAULT_MAX_K`` (8)
-    raise ResourceLimitError.
+    raise ResourceLimitError. A negative ``node_budget`` is a ValueError,
+    raised before anything else.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node_budget must not be negative, not {node_budget}")
     _check_size(problem)
     if problem.k == 0:
         return SearchOutcome(problem, True, (), 1)

@@ -321,7 +321,7 @@ def test_group_structure_matches_cayley_table():
             while y != e:
                 y, n = table[y][x], n + 1
             orders.append(n)
-        assert [cg.order_of(x) for x in range(h)] == orders, D
+        assert list(cg._orders) == orders, D
         # an abelian group with invariant factors n_i has prod gcd(m, n_i)
         # elements killed by m, for every m; these counts fix the group
         factors = cg.invariant_factors
@@ -406,6 +406,15 @@ def test_ambiguous_forms_have_order_two():
 # ---------------------------------------------------------------------------
 # resource bounds
 # ---------------------------------------------------------------------------
+
+
+def test_class_group_rejects_nonpositive_max_h():
+    # a usage error, raised before the |D| bound or any enumeration
+    for max_h in (0, -1):
+        for D in (-20, -(10**7 + 4)):
+            with pytest.raises(ValueError, match="max_h"):
+                class_group(D, max_h=max_h)
+    assert class_group(-20, max_h=2).h_plus == 2
 
 
 def test_resource_bounds():

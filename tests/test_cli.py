@@ -3,6 +3,7 @@ codes, the scan harness, and cache coherence."""
 
 import json
 import os
+from contextlib import closing
 
 import pytest
 
@@ -194,12 +195,81 @@ def test_interrupted_scan_keeps_complete_records(tmp_path, monkeypatch):
     cache = cli.ResultCache(path)  # not closed before the file is read back
     with pytest.raises(RuntimeError, match="interrupted"):
         cli.run_scan(cli.ScanJob(-40, 40, cli.ALL_CHECKS), cache)
-    assert len(path.read_text().splitlines()) == k
-    loaded = cli.ResultCache(path).records
-    assert len(loaded) == k
-    for d in done:
-        assert loaded[d if d % 4 == 1 else 4 * d] == json.loads(json.dumps(cli.compute_record(d))), d
+    assert len(path.read_text().splitlines()) == len(done) == k
+    loaded = cli.ResultCache(path)
+    squarefree = [d for d in range(-40, 41) if d not in (0, 1) and all(d % (p * p) for p in (2, 3, 5))]
+    assert set(done) < set(squarefree)
+    for d in squarefree:
+        fresh = json.loads(json.dumps(cli.compute_record(d))) if d in done else None
+        assert loaded.get(d if d % 4 == 1 else 4 * d) == fresh, d
     cache.close()
+
+
+def _cache_line(D, value, **fields):
+    return json.dumps({"key": D, "version": "1", "value": value, **fields}, sort_keys=True)
+
+
+def test_cache_serves_newest_valid_line(tmp_path):
+    # the oldest line is valid too, with another value: the newest valid
+    # line wins, and the torn or mistyped lines after it are skipped
+    path = tmp_path / "cache.jsonl"
+    value = json.loads(json.dumps(cli.compute_record(-5)))
+    oldest = _cache_line(-20, json.loads(json.dumps(cli.compute_record(-7))))
+    good = _cache_line(-20, value)
+    mistyped = _cache_line(-20, {**value, "genus_report": {**value["genus_report"], "r": "2"}})
+    for newest in (good[: len(good) // 2], mistyped, _cache_line(-20, value, version="0")):
+        path.write_text(oldest + "\n" + good + "\n" + newest + "\n")
+        assert cli.ResultCache(path).get(-20) == value, newest
+
+
+def test_cache_loads_hand_written_lines(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    value = json.loads(json.dumps(cli.compute_record(-5)))
+    reordered = json.dumps({"version": "1", "value": value, "key": -20})
+    spaced = "  " + json.dumps({"key": -20, "version": "1", "value": value}, separators=(" , ", " : "))
+    compact = json.dumps({"key": -20, "version": "1", "value": value}, separators=(",", ":"))
+    for line in (reordered, spaced, compact):
+        path.write_text(line + "\n")
+        assert cli.ResultCache(path).get(-20) == value, line[:40]
+
+
+def test_cache_checks_decoded_key_against_prefix(tmp_path):
+    # the newest line's prefix says -20, but the later "key" member wins
+    # when it is decoded, so it is not a record for -20
+    path = tmp_path / "cache.jsonl"
+    older = json.loads(json.dumps(cli.compute_record(-5)))
+    other = json.loads(json.dumps(cli.compute_record(-7)))
+    forged = '{"key": -20, ' + _cache_line(-7, other)[1:]
+    assert json.loads(forged)["key"] == -7
+    path.write_text(_cache_line(-20, older) + "\n" + forged + "\n")
+    assert cli.ResultCache(path).get(-20) == older
+    path.write_text(forged + "\n")
+    assert cli.ResultCache(path).get(-20) is None
+
+
+def test_cached_scan_decodes_only_its_window(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    job = cli.ScanJob(-10, 10, cli.ALL_CHECKS)
+    with closing(cli.ResultCache(path)) as fill:
+        cli.run_scan(cli.ScanJob(-60, 60, cli.ALL_CHECKS), fill)
+        expected = cli.run_scan(job, fill)
+    assert len(path.read_text().splitlines()) > 60
+    calls = []
+    loads = cli.json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda s, **kw: calls.append(s) or loads(s, **kw))
+    summary = cli.run_scan(job, cli.ResultCache(path))
+    assert summary == expected
+    assert 0 < len(calls) <= summary["scanned"] == 13
+
+
+def test_negative_bounds_are_usage_errors(capsys):
+    for argv in (["--bound", "-1", "genus", "-d", "5"], ["--bound", "0", "classgroup", "-D", "-20"],
+                 ["--bound", "-1", "scan", "2", "10"], ["nodecode", "-n", "8", "-k", "2", "-w", "4", "--node-budget", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+    for max_h in (0, -1):
+        with pytest.raises(ValueError, match="max_h"):
+            cli.ScanJob(2, 10, cli.ALL_CHECKS, max_h=max_h)
 
 
 def test_scan_pool_never_exceeds_cpu_count(monkeypatch):

@@ -143,6 +143,14 @@ def test_search_bounds():
         code_search(WeightCodeProblem(20, 9, frozenset({4})))
 
 
+def test_search_rejects_negative_budget():
+    # a usage error, raised before the size bounds or any search
+    for problem in (WeightCodeProblem(8, 2, frozenset({4})), WeightCodeProblem(41, 1, frozenset({4}))):
+        with pytest.raises(ValueError, match="node_budget"):
+            code_search(problem, node_budget=-1)
+    assert code_search(WeightCodeProblem(8, 2, frozenset({4})), node_budget=100).exists
+
+
 def test_search_budget_checkpoint():
     # budgets that run out in the outer search (between enumerations) and
     # inside the row enumeration all report the same checkpoint keys
