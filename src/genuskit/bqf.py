@@ -26,6 +26,7 @@ same loop without it and multiplies no matrices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -362,9 +363,9 @@ class ClassGroup:
     index is the class containing the principal form; ``mul`` composes
     two classes on demand. ``invariant_factors`` are in ascending
     divisibility order (n1 | n2 | ...), with the empty tuple for the
-    trivial group. ``_orders`` and ``_squares`` keep each class's order
-    and the index of its square, read off the walks that gave the
-    structure; ``two_torsion`` reads the orders.
+    trivial group, and are read off the class orders. ``_orders`` and
+    ``_squares`` keep each class's order and the index of its square,
+    read off the cyclic walks; ``two_torsion`` reads the orders.
     """
 
     D: int
@@ -428,41 +429,26 @@ class ClassGroup:
         }
 
 
-def _invariant_factors(orders, h_factors) -> tuple[int, ...]:
-    """Invariant factors of an abelian group from its element orders and
-    the factorisation of its order h.
+def _invariant_factors(orders) -> tuple[int, ...]:
+    """Invariant factors of an abelian group from its element orders alone.
 
-    Per prime p | h, the number of elements killed by p^j determines the
-    multiset of p-power elementary divisors; those merge into invariant
-    factors largest-first.
+    Z/n1 + ... + Z/nt has exactly prod gcd(m, ni) elements with x^m = 1,
+    so the factors peel off largest first: each is the least order m
+    dividing the one before (h for the first) at which the elements of
+    order dividing m number left * prod gcd(m, f) over the factors f
+    already peeled, where left is h over their product.
     """
-    per_prime: dict[int, list[int]] = {}
-    for p, e in h_factors:
-        counts = []
-        for j in range(e + 1):
-            pj = p**j
-            nj = sum(1 for o in orders if pj % o == 0)
-            mj = 0
-            while p**mj < nj:
-                mj += 1
-            if p**mj != nj:
-                raise ArithmeticError("element-order counts are not p-power sized (bug)")
-            counts.append(mj)
-        geq = [counts[j] - counts[j - 1] for j in range(1, e + 1)]  # # divisors with exponent >= j
-        exps = []
-        for j in range(1, e + 1):
-            exactly = geq[j - 1] - (geq[j] if j < e else 0)
-            exps.extend([j] * exactly)
-        per_prime[p] = sorted(exps, reverse=True)
-    width = max((len(v) for v in per_prime.values()), default=0)
-    factors_desc = []
-    for i in range(width):
-        n = 1
-        for p, exps in per_prime.items():
-            if i < len(exps):
-                n *= p ** exps[i]
-        factors_desc.append(n)
-    return tuple(reversed(factors_desc))
+    count = Counter(orders)
+    factors: list[int] = []
+    left = last = len(orders)
+    while left > 1:
+        m = next((m for m in sorted(count) if m > 1 and last % m == 0
+                  and sum(c for o, c in count.items() if m % o == 0) == left * prod(gcd(m, f) for f in factors)), None)
+        if m is None:
+            raise ArithmeticError("element orders fit no abelian group (bug)")
+        factors.append(m)
+        left, last = left // m, m
+    return tuple(reversed(factors))
 
 
 def _two_torsion_basis(cg: ClassGroup, orders) -> tuple[int, ...]:
@@ -485,13 +471,14 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
     Enumerates reduced forms b-first, with a over the divisors of
     |b^2 - D|/4 up to its square root: every reduced form when D < 0, and
     when D > 0 the reduced forms with |a| <= |c|, which seed the rho
-    cycles that make up the classes. The abelian group structure comes
-    from element orders, read off one walk per cyclic subgroup (one
-    composition per step) and kept on the group. Raises
-    ResourceLimitError when |D| exceeds ``DEFAULT_MAX_DISC`` (10^7) or
-    the class number exceeds ``max_h``; |D| is checked before D is
-    factorised, so that error wins over ValueError for an invalid D. A
-    ``max_h`` below 1 is a ValueError, raised before anything else.
+    cycles that make up the classes. Every class order is read off one
+    walk per cyclic subgroup (one composition per step) and kept on the
+    group, and the invariant factors are read off those orders: h is not
+    factorised. Raises ResourceLimitError when |D| exceeds
+    ``DEFAULT_MAX_DISC`` (10^7) or the class number exceeds ``max_h``;
+    |D| is checked before D is factorised, so that error wins over
+    ValueError for an invalid D. A ``max_h`` below 1 is a ValueError,
+    raised before anything else.
     """
     if max_h < 1:
         raise ValueError(f"max_h must be at least 1, not {max_h}")
@@ -529,13 +516,11 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
             for j, y in enumerate(walk, 1):
                 orders[y] = o // gcd(j, o)
                 squares[y] = walk[2 * j % o - 1]
-    h_factors = factorize(h).factors
-    factors = _invariant_factors(orders, h_factors)
+    factors = _invariant_factors(orders)
+    if prod(factors) != h:
+        raise ArithmeticError("invariant factors do not multiply to h (bug)")
     basis = _two_torsion_basis(cg, orders)
     if len(basis) != sum(1 for n in factors if n % 2 == 0):
         raise ArithmeticError("2-torsion basis size disagrees with invariant factors (bug)")
-
-    if prod(factors) != h:
-        raise ArithmeticError("invariant factors do not multiply to h (bug)")
 
     return replace(cg, invariant_factors=factors, two_torsion_basis=basis, _orders=tuple(orders), _squares=tuple(squares))

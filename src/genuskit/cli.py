@@ -33,6 +33,7 @@ from .keylemma import (
 )
 from .nodesets import (
     WeightCodeProblem,
+    _check_node_budget,
     code_search,
     feasible_distributions,
     quintic_certificate,
@@ -63,7 +64,7 @@ def _valid_value(line: str, D: int):
         rep = value["genus_report"]
         if (
             rec["key"] == D
-            and isinstance(value["class_group"]["h_plus"], int)
+            and type(value["class_group"]["h_plus"]) is int
             and isinstance(rep, dict)
             and _REPORT_KEYS <= rep.keys()
             # evaluate_checks does arithmetic on these; bools are ints to
@@ -408,6 +409,7 @@ def cmd_werner(args) -> int:
 
 
 def cmd_nodecode(args) -> int:
+    _check_node_budget(args.node_budget)
     weights = frozenset(int(w) for w in args.weights.split(","))
     problem = WeightCodeProblem(args.n, args.k, weights)
     filt = feasible_distributions(problem)

@@ -153,6 +153,12 @@ def _check_size(problem: WeightCodeProblem) -> None:
         )
 
 
+def _check_node_budget(node_budget: int | None) -> None:
+    # a usage error, raised before the size bounds or any step of work
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node_budget must not be negative, not {node_budget}")
+
+
 def feasible_distributions(problem: WeightCodeProblem) -> list[WeightDistribution]:
     """All weight distributions supported on the allowed weights whose
     MacWilliams dual is nonnegative and integral.
@@ -357,11 +363,8 @@ def code_search(problem: WeightCodeProblem, *, node_budget: int | None = None) -
     raise ResourceLimitError. A negative ``node_budget`` is a ValueError,
     raised before anything else.
     """
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node_budget must not be negative, not {node_budget}")
+    _check_node_budget(node_budget)
     _check_size(problem)
-    if problem.k == 0:
-        return SearchOutcome(problem, True, (), 1)
     k = problem.k
     nodes = 0
     failed_states: set[tuple] = set()
@@ -473,8 +476,10 @@ def quintic_certificate(
     with the witness distribution as the last step. CONTRADICTION is
     returned only when the search exhausts the space without a code. b2
     is an input, not derived here, and the even-set size menu below 24 is
-    likewise taken as given (min_even from Castelnuovo's inequality).
+    likewise taken as given (min_even from Castelnuovo's inequality). A
+    negative ``node_budget`` is a ValueError, raised before any step.
     """
+    _check_node_budget(node_budget)
     steps = []
     iso = b2 // 2
     steps.append(

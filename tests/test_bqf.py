@@ -256,6 +256,29 @@ def test_class_group_real_spot_values():
     assert cg.h_plus == 4 and cg.invariant_factors == (2, 2)
 
 
+def test_class_group_factorises_only_d(monkeypatch):
+    # the fundamental check is the one factorisation; h is not factorised
+    calls = []
+    monkeypatch.setattr(bqf, "factorize", lambda n: calls.append(n) or factorize(n))
+    for D, n in ((-84, -21), (-9999991, -9999991), (2184769, 2184769)):
+        calls.clear()
+        class_group(D)
+        assert calls == [n], D
+
+
+def test_invariant_factors_from_orders():
+    # Z/2 x Z/4 as pairs (a, b): the order of (a, b) is lcm(|a|, |b|)
+    z2_z4 = [max(2 // gcd(a, 2), 4 // gcd(b, 4)) for a in range(2) for b in range(4)]
+    assert bqf._invariant_factors(z2_z4) == (2, 4)
+    assert bqf._invariant_factors([1]) == ()
+    assert bqf._invariant_factors([1, 3, 3]) == (3,)
+    # order lists of no abelian group that leave no factor to peel: a bug
+    # report, never StopIteration
+    for orders in ([1, 1], [1, 2, 2], [1, 3, 3, 3], [1, 4, 4, 4, 2, 2]):
+        with pytest.raises(ArithmeticError, match=r"\(bug\)"):
+            bqf._invariant_factors(orders)
+
+
 def test_class_group_cyclic_structure():
     # h(-39) = 4 cyclic; h(-47) = 5
     assert class_group(-39).invariant_factors == (4,)

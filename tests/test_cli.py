@@ -217,7 +217,9 @@ def test_cache_serves_newest_valid_line(tmp_path):
     oldest = _cache_line(-20, json.loads(json.dumps(cli.compute_record(-7))))
     good = _cache_line(-20, value)
     mistyped = _cache_line(-20, {**value, "genus_report": {**value["genus_report"], "r": "2"}})
-    for newest in (good[: len(good) // 2], mistyped, _cache_line(-20, value, version="0")):
+    # a bool is an int to isinstance, but not a class number
+    bool_h = _cache_line(-20, {**value, "class_group": {**value["class_group"], "h_plus": True}})
+    for newest in (good[: len(good) // 2], mistyped, bool_h, _cache_line(-20, value, version="0")):
         path.write_text(oldest + "\n" + good + "\n" + newest + "\n")
         assert cli.ResultCache(path).get(-20) == value, newest
 
@@ -262,9 +264,17 @@ def test_cached_scan_decodes_only_its_window(tmp_path, monkeypatch):
     assert 0 < len(calls) <= summary["scanned"] == 13
 
 
-def test_negative_bounds_are_usage_errors(capsys):
+def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
+    # a node budget is checked before any step: quintic with 31 nodes never
+    # reaches the search, and nodecode must not run the filter first
+    def refuse(problem):
+        raise AssertionError("feasible_distributions ran before the budget check")
+
+    monkeypatch.setattr(cli, "feasible_distributions", refuse)
+    monkeypatch.setattr(nodesets, "feasible_distributions", refuse)
     for argv in (["--bound", "-1", "genus", "-d", "5"], ["--bound", "0", "classgroup", "-D", "-20"],
-                 ["--bound", "-1", "scan", "2", "10"], ["nodecode", "-n", "8", "-k", "2", "-w", "4", "--node-budget", "-1"]):
+                 ["--bound", "-1", "scan", "2", "10"], ["nodecode", "-n", "8", "-k", "2", "-w", "4", "--node-budget", "-1"],
+                 ["quintic", "--nodes", "31", "--node-budget", "-1"], ["quintic", "--node-budget", "-1"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
     for max_h in (0, -1):

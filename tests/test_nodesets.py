@@ -148,7 +148,20 @@ def test_search_rejects_negative_budget():
     for problem in (WeightCodeProblem(8, 2, frozenset({4})), WeightCodeProblem(41, 1, frozenset({4}))):
         with pytest.raises(ValueError, match="node_budget"):
             code_search(problem, node_budget=-1)
+    # 31 nodes is not a decisive configuration, so no search would run
+    for nodes in (31, 32):
+        with pytest.raises(ValueError, match="node_budget"):
+            quintic_certificate(nodes=nodes, node_budget=-1)
     assert code_search(WeightCodeProblem(8, 2, frozenset({4})), node_budget=100).exists
+
+
+def test_search_k_zero_takes_the_general_path():
+    # the zero code: one state visited, so a budget of 0 runs out
+    outcome = code_search(WeightCodeProblem(5, 0, frozenset({1})))
+    assert (outcome.exists, outcome.generators, outcome.nodes) == (True, (), 1)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        code_search(WeightCodeProblem(5, 0, frozenset({1})), node_budget=0)
+    assert exc.value.checkpoint["nodes"] == 1
 
 
 def test_search_budget_checkpoint():
