@@ -83,19 +83,18 @@ def _valid_value(line: str, D: int):
 class ResultCache:
     """Append-only line-delimited JSON cache keyed by discriminant.
 
-    Loading only indexes the file: each line is filed under the key that
-    ``_dump``'s canonical prefix ``{"key": <int>, `` names, and a line
-    without that prefix is decoded to learn its key. A record is decoded
-    and validated when ``get`` first asks for its key, newest line first,
-    and the first valid one is kept in ``records``. So the newest valid
-    record for a key wins, and unparseable lines, and lines whose record
-    lacks the class number or a genus report key that the checks read,
-    or holds one of the wrong type, are skipped: a torn write cannot
-    poison the file. A line is served only for the key it is filed under,
-    and only if its decoded ``key`` equals that key: a line whose decoded
-    ``key`` differs from its prefix key (a hand edit with two ``key``
-    members) is served for neither. The first ``put`` opens the file,
-    line-buffered, and keeps it open until ``close``: each record
+    Loading only indexes the file: a line that starts with the prefix
+    ``{"key": <int>, `` that ``_dump`` writes is filed under that key,
+    and any other line, undecodable bytes included, is skipped. A record
+    is decoded and validated when ``get`` first asks for its key, newest
+    line first, and the first valid one is kept in ``records``. So the
+    newest valid record for a key wins, and unparseable lines, and lines
+    whose record lacks the class number or a genus report key that the
+    checks read, or holds one of the wrong type, are skipped: a torn
+    write cannot poison the file. A line whose decoded ``key`` differs
+    from its prefix key (a hand edit with two ``key`` members) is never
+    served. The first ``put`` opens the file, line-buffered, ends a torn
+    last line, and keeps the file open until ``close``: each record
     reaches the OS as its line is written.
     """
 
@@ -104,14 +103,12 @@ class ResultCache:
         self.records: dict[int, dict] = {}
         self._lines: dict[int, list[str]] = {}  # undecoded, oldest first
         self._out = None
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                m = _KEY_PREFIX.match(line)
-                try:
-                    key = int(m[1]) if m else json.loads(line)["key"]
-                    self._lines.setdefault(key, []).append(line)
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    continue
+        text = self.path.read_text(errors="replace") if self.path.exists() else ""
+        self._torn_tail = text != "" and not text.endswith("\n")
+        for line in text.splitlines():
+            m = _KEY_PREFIX.match(line)
+            if m:
+                self._lines.setdefault(int(m[1]), []).append(line)
 
     def get(self, D: int):
         if D not in self.records:
@@ -128,6 +125,9 @@ class ResultCache:
         self.records[D] = value
         if self._out is None:
             self._out = self.path.open("a", buffering=1)
+            if self._torn_tail:
+                self._out.write("\n")
+                self._torn_tail = False
         self._out.write(_dump({"key": D, "version": SCHEMA_VERSION, "value": value}) + "\n")
 
     def close(self) -> None:
@@ -208,40 +208,35 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
     appended as they are produced, so an interrupted run keeps its
     partial results: a killed process loses at most the line it was
     writing, which the cache loader skips, and the fields its workers
-    (about 8 chunks each) had not yet handed back. A d whose |D| exceeds
-    the bound raises ResourceLimitError before anything is factorised or
-    computed, even a d that is not squarefree. The pool has at most
+    (about 8 chunks each) had not yet handed back. Sign "pos" clips the
+    range to d >= 1 and "neg" to d <= -1; ``skipped`` counts the d left
+    that are 0, 1 or not squarefree. If some d left has |D| above the
+    bound, ResourceLimitError is raised before anything is factorised or
+    read from the cache. The pool has at most
     min(workers, fields to compute, CPU count) processes, however large
     ``job.workers`` is.
     """
-    candidates = []
+    lo = max(job.d_min, 1) if job.sign == "pos" else job.d_min
+    hi = min(job.d_max, -1) if job.sign == "neg" else job.d_max
+    # D is d or 4d, and of two neighbouring d at most one is 1 mod 4, so
+    # the largest |D| is at one of the two d nearest an end
+    for d in (lo, lo + 1, hi - 1, hi):
+        if lo <= d <= hi:
+            _require_within(d if d % 4 == 1 else 4 * d)
+
+    # in d order; None marks a field still to compute
+    records: dict[int, dict | None] = {}
     skipped = 0
-    for d in range(job.d_min, job.d_max + 1):
-        if d in (0, 1):
+    for d in range(lo, hi + 1):
+        if d in (0, 1) or not factorize(d).is_squarefree:
             skipped += 1
             continue
-        if job.sign == "pos" and d < 0 or job.sign == "neg" and d > 0:
-            continue
-        D = d if d % 4 == 1 else 4 * d
-        _require_within(D)  # first: factorising a huge d can take seconds
-        if not factorize(d).is_squarefree:
-            skipped += 1
-            continue
-        candidates.append((d, D))
+        cached = cache.get(d if d % 4 == 1 else 4 * d) if cache else None
+        if cached is not None and (h := cached["class_group"]["h_plus"]) > job.max_h:
+            raise ResourceLimitError(f"h+ = {h} exceeds the bound {job.max_h}")
+        records[d] = cached
 
-    records: dict[int, dict] = {}
-    to_compute = []
-    for d, D in candidates:
-        cached = cache.get(D) if cache else None
-        if cached is not None:
-            h = cached["class_group"]["h_plus"]
-            if h > job.max_h:
-                raise ResourceLimitError(f"h+ = {h} exceeds the bound {job.max_h}")
-            records[d] = cached
-        else:
-            to_compute.append(d)
-
-    tasks = [(d, job.max_h) for d in to_compute]
+    tasks = [(d, job.max_h) for d, rec in records.items() if rec is None]
     # the pool forks all its workers at once, so never more than can run
     workers = min(job.workers, len(tasks), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -253,18 +248,18 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
 
     counts = {c: {"pass": 0, "fail": 0, "not_applicable": 0} for c in job.checks}
     anomalies = []
-    for d, _ in candidates:
-        results = evaluate_checks(records[d], job.checks)
+    for d, rec in records.items():
+        results = evaluate_checks(rec, job.checks)
         for check, ok in results.items():
             counts[check]["not_applicable" if ok is None else "pass" if ok else "fail"] += 1
         failing = [check for check, ok in results.items() if ok is False]
         if failing:
-            anomalies.append({"d": d, "failed": sorted(failing), "report": records[d]["genus_report"]})
+            anomalies.append({"d": d, "failed": sorted(failing), "report": rec["genus_report"]})
     return {
         "d_min": job.d_min,
         "d_max": job.d_max,
         "checks": {c: counts[c] for c in sorted(counts)},
-        "scanned": len(candidates),
+        "scanned": len(records),
         "skipped": skipped,
         "anomalies": anomalies,
     }

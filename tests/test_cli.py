@@ -72,6 +72,9 @@ def test_bound_checked_before_factorising(monkeypatch, capsys):
         ["classgroup", "-D", huge],
         ["genus", "-d", "-4000000000"],
         ["scan", "--", huge, huge],
+        # only the last few d of these ranges are out of bounds
+        ["scan", "--", "2400000", "2500010"],
+        ["scan", "--", "1", "1000000000"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "bound" in err, argv
@@ -148,14 +151,14 @@ def test_scan_cache_tolerates_corruption(tmp_path, capsys):
     report = {"d": 5, "r": 1, "gauss_holds": False, "kernel_masks": [], "image_is_two_torsion": False,
               "wide_rank": 0, "support_class_principal": True, "norm_minus_one": False}
     mistyped = [{"r": "x"}, {"kernel_masks": 5}, {"d": True}, {"wide_rank": None}]
-    cache.write_text(
+    cache.write_bytes((
         'this is not json\n[1]\n"x"\n{"key": 5, "version": "1", "value": {}}\n'
         '{"key": 5, "version": "1", "value": {"class_group": {"h_plus": 1}, "genus_report": {}}}\n'
         + "".join(
             json.dumps({"key": 5, "version": "1", "value": {"class_group": {"h_plus": 1}, "genus_report": {**report, **bad}}}) + "\n"
             for bad in mistyped
         )
-    )
+    ).encode() + b"\xff\xfe not UTF-8\n")
     code, out, _ = run(capsys, "--json", "--cache", str(cache), "scan", "2", "10")
     assert code == 0
     assert json.loads(out)["anomalies"] == []
@@ -224,7 +227,8 @@ def test_cache_serves_newest_valid_line(tmp_path):
         assert cli.ResultCache(path).get(-20) == value, newest
 
 
-def test_cache_loads_hand_written_lines(tmp_path):
+def test_cache_serves_only_canonical_lines(tmp_path):
+    # the loader indexes only lines that start as _dump writes them
     path = tmp_path / "cache.jsonl"
     value = json.loads(json.dumps(cli.compute_record(-5)))
     reordered = json.dumps({"version": "1", "value": value, "key": -20})
@@ -232,7 +236,21 @@ def test_cache_loads_hand_written_lines(tmp_path):
     compact = json.dumps({"key": -20, "version": "1", "value": value}, separators=(",", ":"))
     for line in (reordered, spaced, compact):
         path.write_text(line + "\n")
-        assert cli.ResultCache(path).get(-20) == value, line[:40]
+        assert cli.ResultCache(path).get(-20) is None, line[:40]
+    path.write_text(_cache_line(-20, value) + "\n")
+    assert cli.ResultCache(path).get(-20) == value
+
+
+def test_cache_record_after_torn_tail_is_served(tmp_path):
+    # a process killed mid-write leaves a last line with no newline; the
+    # next record must not be appended onto it
+    path = tmp_path / "cache.jsonl"
+    torn = _cache_line(-20, json.loads(json.dumps(cli.compute_record(-5))))
+    path.write_text(torn[: len(torn) // 2])
+    value = json.loads(json.dumps(cli.compute_record(2)))
+    with closing(cli.ResultCache(path)) as cache:
+        cache.put(8, value)
+    assert cli.ResultCache(path).get(8) == value
 
 
 def test_cache_checks_decoded_key_against_prefix(tmp_path):
@@ -317,10 +335,16 @@ def test_scan_rejects_nonpositive_workers(tmp_path, capsys):
 
 
 def test_scan_sign_filter(capsys):
-    _, out, _ = run(capsys, "--json", "scan", "-10", "10", "--sign", "neg")
-    data = json.loads(out)
-    _, out_both, _ = run(capsys, "--json", "scan", "-10", "-1")
-    assert data["scanned"] == json.loads(out_both)["scanned"]
+    # a sign clips the range: d = 0 is never counted as skipped under it
+    def summary(*argv):
+        data = json.loads(run(capsys, "--json", "scan", *argv)[1])
+        del data["d_min"], data["d_max"]
+        return data
+
+    assert summary("--sign", "pos", "--", "-10", "10") == summary("--", "1", "10")
+    assert summary("--sign", "neg", "--", "-10", "10") == summary("--", "-10", "-1")
+    empty = summary("--sign", "neg", "--", "0", "10")
+    assert empty["scanned"] == empty["skipped"] == 0
 
 
 def test_keylemma_subcommand(tmp_path, capsys):
