@@ -38,6 +38,7 @@ from .nodesets import (
     feasible_distributions,
     quintic_certificate,
 )
+from .quadfield import _discriminant
 
 SCHEMA_VERSION = "1"
 
@@ -204,15 +205,19 @@ def _scan_worker(args):
 def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
     """Scan a d range, evaluating the selected checks per squarefree d.
 
-    Returns the summary dict; cached records are reused and fresh ones
-    appended as they are produced, so an interrupted run keeps its
-    partial results: a killed process loses at most the line it was
-    writing, which the cache loader skips, and the fields its workers
-    (about 8 chunks each) had not yet handed back. Sign "pos" clips the
-    range to d >= 1 and "neg" to d <= -1; ``skipped`` counts the d left
-    that are 0, 1 or not squarefree. If some d left has |D| above the
-    bound, ResourceLimitError is raised before anything is factorised or
-    read from the cache. The pool has at most
+    Returns the summary dict. One pass plans the range: each d is
+    skipped or kept, with its cached record if there is one. A second
+    pass walks the kept d in order, takes each cached record or the next
+    fresh one, appends a fresh one to the cache as it arrives, and
+    tallies it at once, so without a cache a scan holds only the anomaly
+    reports, not every record. An interrupted run keeps its partial
+    results: a killed process loses at most the line it was writing,
+    which the cache loader skips, and the fields its workers (about 8
+    chunks each) had not yet handed back. Sign "pos" clips the range to
+    d >= 1 and "neg" to d <= -1; ``skipped`` counts the d left that are
+    0, 1 or not squarefree. If some d left has |D| above the bound,
+    ResourceLimitError is raised before anything is factorised or read
+    from the cache. The pool has at most
     min(workers, fields to compute, CPU count) processes, however large
     ``job.workers`` is.
     """
@@ -222,44 +227,43 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
     # the largest |D| is at one of the two d nearest an end
     for d in (lo, lo + 1, hi - 1, hi):
         if lo <= d <= hi:
-            _require_within(d if d % 4 == 1 else 4 * d)
+            _require_within(_discriminant(d))
 
-    # in d order; None marks a field still to compute
-    records: dict[int, dict | None] = {}
+    # the kept d in order, each with its cached record or None
+    kept: list[tuple[int, dict | None]] = []
     skipped = 0
     for d in range(lo, hi + 1):
         if d in (0, 1) or not factorize(d).is_squarefree:
             skipped += 1
             continue
-        cached = cache.get(d if d % 4 == 1 else 4 * d) if cache else None
+        cached = cache.get(_discriminant(d)) if cache else None
         if cached is not None and (h := cached["class_group"]["h_plus"]) > job.max_h:
             raise ResourceLimitError(f"h+ = {h} exceeds the bound {job.max_h}")
-        records[d] = cached
+        kept.append((d, cached))
 
-    tasks = [(d, job.max_h) for d, rec in records.items() if rec is None]
+    tasks = [(d, job.max_h) for d, cached in kept if cached is None]
+    counts = {c: {"pass": 0, "fail": 0, "not_applicable": 0} for c in job.checks}
+    anomalies = []
     # the pool forks all its workers at once, so never more than can run
     workers = min(job.workers, len(tasks), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(_scan_worker, tasks, chunksize=max(1, len(tasks) // (8 * workers))) if pool else map(_scan_worker, tasks)
-        for d, rec in results:
-            records[d] = rec
-            if cache:
-                cache.put(rec["genus_report"]["D"], rec)
-
-    counts = {c: {"pass": 0, "fail": 0, "not_applicable": 0} for c in job.checks}
-    anomalies = []
-    for d, rec in records.items():
-        results = evaluate_checks(rec, job.checks)
-        for check, ok in results.items():
-            counts[check]["not_applicable" if ok is None else "pass" if ok else "fail"] += 1
-        failing = [check for check, ok in results.items() if ok is False]
-        if failing:
-            anomalies.append({"d": d, "failed": sorted(failing), "report": rec["genus_report"]})
+        fresh = pool.map(_scan_worker, tasks, chunksize=max(1, len(tasks) // (8 * workers))) if pool else map(_scan_worker, tasks)
+        for d, rec in kept:
+            if rec is None:
+                rec = next(fresh)[1]
+                if cache:
+                    cache.put(rec["genus_report"]["D"], rec)
+            results = evaluate_checks(rec, job.checks)
+            for check, ok in results.items():
+                counts[check]["not_applicable" if ok is None else "pass" if ok else "fail"] += 1
+            failing = [check for check, ok in results.items() if ok is False]
+            if failing:
+                anomalies.append({"d": d, "failed": sorted(failing), "report": rec["genus_report"]})
     return {
         "d_min": job.d_min,
         "d_max": job.d_max,
         "checks": {c: counts[c] for c in sorted(counts)},
-        "scanned": len(records),
+        "scanned": len(kept),
         "skipped": skipped,
         "anomalies": anomalies,
     }

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bqf import ClassGroup, ambiguous_form, class_group, DEFAULT_MAX_H, _ambiguous_form, _require_within
-from .quadfield import QuadField, field_from_d, has_norm_minus_one
+from .quadfield import QuadField, _discriminant, field_from_d, has_norm_minus_one
 
 __all__ = [
     "GenusReport",
@@ -186,7 +186,7 @@ def report_for_d(d: int, *, max_h: int = DEFAULT_MAX_H) -> tuple[QuadField, Clas
     |D| is bounded before ``field_from_d`` factorises d (D is d or 4d), so
     a huge d fails fast with ResourceLimitError, even when it is invalid.
     """
-    _require_within(d if d % 4 == 1 else 4 * d)
+    _require_within(_discriminant(d))
     field = field_from_d(d)
     cg = class_group(field.D, max_h=max_h)
     images = cg.subset_products(ambiguous_class_indices(field, cg))

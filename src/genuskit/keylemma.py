@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
+from .errors import ResourceLimitError
+
 __all__ = [
     "BranchConfiguration",
     "BranchNotEvenError",
@@ -36,6 +38,11 @@ __all__ = [
     "lift_element",
     "two_torsion_rank",
 ]
+
+
+# the largest branch configuration accepted: the masks are ints of this
+# many bits, and the kernel is found by elimination over every component
+MAX_COMPONENTS = 1024
 
 
 class BranchNotEvenError(ValueError):
@@ -69,6 +76,8 @@ class BranchConfiguration:
     component_names: tuple[str, ...] | None = dataclass_field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.n_components > MAX_COMPONENTS:
+            raise ResourceLimitError(f"{self.n_components} branch components exceed the bound {MAX_COMPONENTS}")
         if self.n_components < 1:
             raise ValueError("need at least one branch component")
         if self.ambient_rank < 0 or self.pic_two_rank < 0:

@@ -50,6 +50,9 @@ QUINTIC_CHI = 5
 DEFAULT_MAX_N = 40
 DEFAULT_MAX_K = 8
 DEFAULT_FILTER_BUDGET = 2_000_000
+# the quintic chain writes one splitting step per multiple of 4 in
+# [24, 2 * min_even), so min_even bounds its length
+MAX_MIN_EVEN = 1024
 
 
 @dataclass(frozen=True)
@@ -477,9 +480,12 @@ def quintic_certificate(
     returned only when the search exhausts the space without a code. b2
     is an input, not derived here, and the even-set size menu below 24 is
     likewise taken as given (min_even from Castelnuovo's inequality). A
-    negative ``node_budget`` is a ValueError, raised before any step.
+    negative ``node_budget`` is a ValueError, and min_even above
+    ``MAX_MIN_EVEN`` a ResourceLimitError, both raised before any step.
     """
     _check_node_budget(node_budget)
+    if min_even > MAX_MIN_EVEN:
+        raise ResourceLimitError(f"min_even = {min_even} exceeds the bound {MAX_MIN_EVEN}")
     steps = []
     iso = b2 // 2
     steps.append(

@@ -75,6 +75,11 @@ class QuadUnit:
         return f"({core})/2" if self.halved else core
 
 
+def _discriminant(d: int) -> int:
+    # the fundamental discriminant of Q(sqrt(d)) for squarefree d
+    return d if d % 4 == 1 else 4 * d
+
+
 def field_from_d(d: int) -> QuadField:
     if d in (0, 1):
         raise ValueError(f"d = {d} does not define a quadratic field")
@@ -82,12 +87,8 @@ def field_from_d(d: int) -> QuadField:
     if not fac.is_squarefree:
         p = next(p for p, e in fac.factors if e >= 2)
         raise ValueError(f"d = {d} is not squarefree (divisible by {p * p} or worse)")
-    if d % 4 == 1:
-        D = d
-        ramified = fac.primes
-    else:
-        D = 4 * d
-        ramified = tuple(sorted(set(fac.primes) | {2}))
+    D = _discriminant(d)
+    ramified = fac.primes if D == d else tuple(sorted(set(fac.primes) | {2}))
     return QuadField(d=d, D=D, ramified=ramified, r=len(ramified), is_real=d > 0)
 
 

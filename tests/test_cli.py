@@ -3,11 +3,12 @@ codes, the scan harness, and cache coherence."""
 
 import json
 import os
+import weakref
 from contextlib import closing
 
 import pytest
 
-from genuskit import bqf, cli, nodesets, quadfield
+from genuskit import bqf, cli, keylemma, nodesets, quadfield
 from genuskit.cli import main
 
 
@@ -208,6 +209,40 @@ def test_interrupted_scan_keeps_complete_records(tmp_path, monkeypatch):
     cache.close()
 
 
+def test_scan_reports_anomaly_of_cached_record(tmp_path, capsys):
+    # a cached record that fails a check is reported between fresh fields
+    rec = json.loads(json.dumps(cli.compute_record(-5)))
+    rec["genus_report"]["gauss_holds"] = False
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_cache_line(-20, rec) + "\n")
+    code, out, _ = run(capsys, "--json", "--cache", str(path), "scan", "--", "-6", "-2")
+    data = json.loads(out)
+    assert code == 1 and data["scanned"] == 4
+    assert data["checks"]["gauss"] == {"pass": 3, "fail": 1, "not_applicable": 0}
+    assert data["anomalies"] == [{"d": -5, "failed": ["gauss"], "report": rec["genus_report"]}]
+
+
+def test_scan_without_cache_drops_each_record_once_tallied(monkeypatch):
+    # each record the worker returns is tracked by a weak reference; a scan
+    # that kept every record until its summary would hold hundreds of them
+    class Record(dict):
+        __hash__ = object.__hash__
+
+    worker, alive, counts = cli._scan_worker, weakref.WeakSet(), []
+
+    def tracking_worker(args):
+        counts.append(len(alive))
+        d, rec = worker(args)
+        rec = Record(rec)
+        alive.add(rec)
+        return d, rec
+
+    monkeypatch.setattr(cli, "_scan_worker", tracking_worker)
+    summary = cli.run_scan(cli.ScanJob(-400, 400, cli.ALL_CHECKS))
+    assert len(counts) == summary["scanned"] > 400
+    assert max(counts) <= 2, max(counts)
+
+
 def _cache_line(D, value, **fields):
     return json.dumps({"key": D, "version": "1", "value": value, **fields}, sort_keys=True)
 
@@ -387,6 +422,18 @@ def test_keylemma_rejects_malformed_config(tmp_path, capsys, change):
     assert code == 2 and "branch configuration" in err
 
 
+def test_keylemma_bounds_components_before_work(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "branch.json"
+    path.write_text(json.dumps({"n_components": keylemma.MAX_COMPONENTS, "ambient_rank": 0, "phi_matrix": []}))
+    code, out, _ = run(capsys, "--json", "keylemma", str(path))
+    assert code == 0 and json.loads(out)["quotient_rank"] == keylemma.MAX_COMPONENTS - 1
+    monkeypatch.setattr(cli, "kernel_mod_e", lambda config: pytest.fail("kernel computed past the bound"))
+    for n in (keylemma.MAX_COMPONENTS + 1, 16_000, 10**9):
+        path.write_text(json.dumps({"n_components": n, "ambient_rank": 0, "phi_matrix": []}))
+        code, out, err = run(capsys, "--json", "keylemma", str(path))
+        assert code == 3 and out == "" and "bound" in err, n
+
+
 def test_campedelli_command(capsys):
     code, out, _ = run(capsys, "--json", "campedelli")
     assert code == 0
@@ -437,6 +484,15 @@ def test_quintic_default(capsys):
     data = json.loads(out)
     assert any("floor(53/2) = 26" in s["arithmetic"] for s in data["steps"])
     assert data["verdict"] == "INCONCLUSIVE"
+
+
+def test_quintic_bounds_min_even_before_any_step(capsys, monkeypatch):
+    code, out, _ = run(capsys, "--json", "quintic", "--min-even", str(nodesets.MAX_MIN_EVEN))
+    assert code == 0 and json.loads(out)["verdict"] == "INCONCLUSIVE"
+    monkeypatch.setattr(nodesets, "chi_double_cover", lambda params: pytest.fail("a step was built past the bound"))
+    for min_even in (nodesets.MAX_MIN_EVEN + 1, 1_000_000):
+        code, out, err = run(capsys, "--json", "quintic", "--min-even", str(min_even))
+        assert code == 3 and out == "" and "min_even" in err, min_even
 
 
 def test_json_flag_after_subcommand(capsys):
