@@ -42,7 +42,22 @@ from .quadfield import _discriminant
 
 SCHEMA_VERSION = "1"
 
-ALL_CHECKS = ("gauss", "kernel", "wide", "norm_minus_one")
+# the genus report keys the checks read, each with its exact JSON type
+_REPORT_TYPES = {
+    "d": int, "r": int, "wide_rank": int, "kernel_masks": list,
+    "gauss_holds": bool, "image_is_two_torsion": bool, "support_class_principal": bool, "norm_minus_one": bool,
+}
+
+# each check's outcome on such a report: True, False, or None if it does not apply
+_CHECKS = {
+    "gauss": lambda rep: rep["gauss_holds"],
+    "kernel": lambda rep: len(rep["kernel_masks"]) == 2 and rep["image_is_two_torsion"],
+    "wide": lambda rep: rep["wide_rank"] in (rep["r"] - 1, rep["r"] - 2),
+    "norm_minus_one": lambda rep: None if rep["d"] < 0 else rep["support_class_principal"] == rep["norm_minus_one"],
+}
+
+ALL_CHECKS = tuple(_CHECKS)
+SIGNS = ("both", "pos", "neg")
 
 
 def _dump(data) -> str:
@@ -55,8 +70,8 @@ _KEY_PREFIX = re.compile(r'\{"key": (-?[0-9]+), ')
 
 def _valid_value(line: str, D: int):
     """The value of the cache line ``line`` if it decodes to a record of
-    the current schema for key ``D`` whose class number and checked
-    genus report keys have the right types, else None."""
+    the current schema for key ``D`` whose class number and the genus
+    report keys the checks read have their exact types, else None."""
     try:
         rec = json.loads(line)
         if not isinstance(rec, dict) or rec.get("version") != SCHEMA_VERSION:
@@ -67,13 +82,8 @@ def _valid_value(line: str, D: int):
             rec["key"] == D
             and type(value["class_group"]["h_plus"]) is int
             and isinstance(rep, dict)
-            and _REPORT_KEYS <= rep.keys()
-            # evaluate_checks does arithmetic on these; bools are ints to
-            # isinstance, so compare the type
-            and type(rep["d"]) is int
-            and type(rep["r"]) is int
-            and type(rep["wide_rank"]) is int
-            and isinstance(rep["kernel_masks"], list)
+            # bools are ints to isinstance, so the type is compared
+            and all(type(rep.get(k)) is t for k, t in _REPORT_TYPES.items())
         ):
             return value
     except (json.JSONDecodeError, KeyError, TypeError):
@@ -89,11 +99,14 @@ class ResultCache:
     and any other line, undecodable bytes included, is skipped. A record
     is decoded and validated when ``get`` first asks for its key, newest
     line first, and the first valid one is kept in ``records``. So the
-    newest valid record for a key wins, and unparseable lines, and lines
-    whose record lacks the class number or a genus report key that the
-    checks read, or holds one of the wrong type, are skipped: a torn
-    write cannot poison the file. A line whose decoded ``key`` differs
-    from its prefix key (a hand edit with two ``key`` members) is never
+    newest valid record for a key wins. A line is skipped if it does not
+    parse, or if its record lacks an int class number or one of the
+    genus report keys the checks read at its exact type: ints ``d``,
+    ``r``, ``wide_rank``, list ``kernel_masks``, bools ``gauss_holds``,
+    ``image_is_two_torsion``, ``support_class_principal`` and
+    ``norm_minus_one`` (0 is no bool, True no int). So neither a torn
+    write nor a mistyped edit poisons the file. A line whose decoded
+    ``key`` differs from its prefix key (two ``key`` members) is never
     served. The first ``put`` opens the file, line-buffered, ends a torn
     last line, and keeps the file open until ``close``: each record
     reaches the OS as its line is written.
@@ -153,6 +166,8 @@ class ScanJob:
             raise ValueError(f"workers must be at least 1, not {self.workers}")
         if self.max_h < 1:
             raise ValueError(f"max_h must be at least 1, not {self.max_h}")
+        if self.sign not in SIGNS:
+            raise ValueError(f"unknown sign {self.sign!r}; choose from {', '.join(SIGNS)}")
         if not self.checks:
             raise ValueError("at least one check must be selected")
         for c in self.checks:
@@ -169,32 +184,16 @@ def compute_record(d: int, max_h: int = DEFAULT_MAX_H) -> dict:
     }
 
 
-# the genus report keys that evaluate_checks reads
-_REPORT_KEYS = frozenset(
-    {"d", "r", "gauss_holds", "kernel_masks", "image_is_two_torsion", "wide_rank", "support_class_principal", "norm_minus_one"}
-)
-
-
 def evaluate_checks(record: dict, checks) -> dict[str, bool | None]:
     """Re-derive check outcomes from a (possibly cached) record.
 
-    None means the check does not apply to this field.
+    Each outcome is exactly True, False, or None where the check does
+    not apply to this field: ``ResultCache`` serves only records whose
+    checked keys have the types that ensure it. ``checks`` are names
+    ``ScanJob`` has already validated.
     """
     rep = record["genus_report"]
-    out: dict[str, bool | None] = {}
-    for check in checks:
-        if check == "gauss":
-            out[check] = bool(rep["gauss_holds"])
-        elif check == "kernel":
-            out[check] = len(rep["kernel_masks"]) == 2 and bool(rep["image_is_two_torsion"])
-        elif check == "wide":
-            out[check] = rep["wide_rank"] in (rep["r"] - 1, rep["r"] - 2)
-        elif check == "norm_minus_one":
-            if rep["d"] < 0:
-                out[check] = None
-            else:
-                out[check] = rep["support_class_principal"] == rep["norm_minus_one"]
-    return out
+    return {check: _CHECKS[check](rep) for check in checks}
 
 
 def _scan_worker(args):
@@ -482,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d_min", type=int)
     p.add_argument("d_max", type=int)
     p.add_argument("--checks", default=",".join(ALL_CHECKS), help="comma-separated subset of " + ",".join(ALL_CHECKS))
-    p.add_argument("--sign", choices=("both", "pos", "neg"), default="both")
+    p.add_argument("--sign", choices=SIGNS, default="both")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("keylemma", parents=[json_flag], help="kernel/rank of a branch configuration JSON file")

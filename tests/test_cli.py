@@ -163,6 +163,13 @@ def test_scan_cache_tolerates_corruption(tmp_path, capsys):
     code, out, _ = run(capsys, "--json", "--cache", str(cache), "scan", "2", "10")
     assert code == 0
     assert json.loads(out)["anomalies"] == []
+    # a check field that is not a bool; each in its own file, since the
+    # newest line for a key is the one tried first
+    cold = run(capsys, "--json", "scan", "2", "10")
+    for bad in ({"gauss_holds": 0}, {"image_is_two_torsion": 1}, {"support_class_principal": "true"}, {"norm_minus_one": None}):
+        path = tmp_path / f"{next(iter(bad))}.jsonl"
+        path.write_text(json.dumps({"key": 5, "version": "1", "value": {"class_group": {"h_plus": 1}, "genus_report": {**report, **bad}}}) + "\n")
+        assert run(capsys, "--json", "--cache", str(path), "scan", "2", "10") == cold, bad
 
 
 def test_cached_scan_honours_bound(tmp_path, capsys):
@@ -220,6 +227,12 @@ def test_scan_reports_anomaly_of_cached_record(tmp_path, capsys):
     assert code == 1 and data["scanned"] == 4
     assert data["checks"]["gauss"] == {"pass": 3, "fail": 1, "not_applicable": 0}
     assert data["anomalies"] == [{"d": -5, "failed": ["gauss"], "report": rec["genus_report"]}]
+    # run_scan tallies a failure by ``ok is False``: every outcome is exactly
+    # True, False or None, for a cached record as for fresh ones
+    records = [cli.ResultCache(path).get(-20)] + [cli.compute_record(d) for d in (-6, -5, -3, -2, 2, 3, 5)]
+    for record in records:
+        for ok in cli.evaluate_checks(record, cli.ALL_CHECKS).values():
+            assert ok is True or ok is False or ok is None, (record["genus_report"]["d"], ok)
 
 
 def test_scan_without_cache_drops_each_record_once_tallied(monkeypatch):
@@ -333,6 +346,8 @@ def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
     for max_h in (0, -1):
         with pytest.raises(ValueError, match="max_h"):
             cli.ScanJob(2, 10, cli.ALL_CHECKS, max_h=max_h)
+    with pytest.raises(ValueError, match="sign"):
+        cli.ScanJob(-10, 10, cli.ALL_CHECKS, sign="bogus")
 
 
 def test_scan_pool_never_exceeds_cpu_count(monkeypatch):
