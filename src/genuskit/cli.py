@@ -65,7 +65,10 @@ def _dump(data) -> str:
 
 
 # the start of every line _dump writes to the cache: sort_keys puts "key" first
-_KEY_PREFIX = re.compile(r'\{"key": (-?[0-9]+), ')
+_KEY_PREFIX = re.compile(rb'\{"key": (-?[0-9]+), ')
+# bytes read at a time while indexing: with the default 8 KiB buffer, the
+# bare line iteration over an 818 KB cache took 0.59 ms instead of 0.25 ms
+_INDEX_BUFFER = 1 << 16
 
 
 def _valid_value(line: str, D: int):
@@ -94,40 +97,53 @@ def _valid_value(line: str, D: int):
 class ResultCache:
     """Append-only line-delimited JSON cache keyed by discriminant.
 
-    Loading only indexes the file: a line that starts with the prefix
-    ``{"key": <int>, `` that ``_dump`` writes is filed under that key,
-    and any other line, undecodable bytes included, is skipped. A record
-    is decoded and validated when ``get`` first asks for its key, newest
-    line first, and the first valid one is kept in ``records``. So the
-    newest valid record for a key wins. A line is skipped if it does not
-    parse, or if its record lacks an int class number or one of the
-    genus report keys the checks read at its exact type: ints ``d``,
-    ``r``, ``wide_rank``, list ``kernel_masks``, bools ``gauss_holds``,
-    ``image_is_two_torsion``, ``support_class_principal`` and
-    ``norm_minus_one`` (0 is no bool, True no int). So neither a torn
-    write nor a mistyped edit poisons the file. A line whose decoded
-    ``key`` differs from its prefix key (two ``key`` members) is never
-    served. The first ``put`` opens the file, line-buffered, ends a torn
-    last line, and keeps the file open until ``close``: each record
-    reaches the OS as its line is written.
+    Loading only indexes the file by byte offset: it reads the file as
+    bytes, splits it into lines on ``\\n`` alone, and files the
+    ``(offset, length)`` of each line that starts with the prefix
+    ``{"key": <int>, `` that ``_dump`` writes under that key. Any other
+    line is skipped, and no line text is kept. A record is read from
+    disk, decoded (undecodable bytes replaced) and validated when ``get``
+    first asks for its key, newest line first, and the first valid one
+    is kept in ``records``. So the newest valid record for a key wins. A
+    line is skipped if it does not parse, or if its record lacks an int
+    class number or one of the genus report keys the checks read at its
+    exact type: ints ``d``, ``r``, ``wide_rank``, list ``kernel_masks``,
+    bools ``gauss_holds``, ``image_is_two_torsion``,
+    ``support_class_principal`` and ``norm_minus_one`` (0 is no bool,
+    True no int). So neither a torn write nor a mistyped edit poisons
+    the file. A line whose decoded ``key`` differs from its prefix key
+    (two ``key`` members) is never served. The file is assumed
+    append-only, so the offsets taken at load stay valid while ``put``
+    appends. The first ``get`` that needs a line opens the file for
+    reading; the first ``put`` opens it for appending, line-buffered,
+    ends a torn last line, and keeps it open: each record reaches the OS
+    as its line is written. ``close`` closes both.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.records: dict[int, dict] = {}
-        self._lines: dict[int, list[str]] = {}  # undecoded, oldest first
-        self._out = None
-        text = self.path.read_text(errors="replace") if self.path.exists() else ""
-        self._torn_tail = text != "" and not text.endswith("\n")
-        for line in text.splitlines():
-            m = _KEY_PREFIX.match(line)
-            if m:
-                self._lines.setdefault(int(m[1]), []).append(line)
+        self._spans: dict[int, list[tuple[int, int]]] = {}  # (offset, length), oldest first
+        self._in = self._out = None
+        self._torn_tail = False
+        if not self.path.exists():
+            return
+        offset = 0
+        with self.path.open("rb", buffering=_INDEX_BUFFER) as f:
+            for line in f:
+                m = _KEY_PREFIX.match(line)
+                if m:
+                    self._spans.setdefault(int(m[1]), []).append((offset, len(line)))
+                offset += len(line)
+        self._torn_tail = offset > 0 and not line.endswith(b"\n")
 
     def get(self, D: int):
         if D not in self.records:
-            for line in reversed(self._lines.pop(D, ())):
-                value = _valid_value(line, D)
+            for offset, length in reversed(self._spans.pop(D, ())):
+                if self._in is None:
+                    self._in = self.path.open("rb")
+                self._in.seek(offset)
+                value = _valid_value(self._in.read(length).decode(errors="replace"), D)
                 if value is not None:
                     self.records[D] = value
                     break
@@ -145,9 +161,10 @@ class ResultCache:
         self._out.write(_dump({"key": D, "version": SCHEMA_VERSION, "value": value}) + "\n")
 
     def close(self) -> None:
-        if self._out is not None:
-            self._out.close()
-            self._out = None
+        for f in (self._in, self._out):
+            if f is not None:
+                f.close()
+        self._in = self._out = None
 
 
 @dataclass(frozen=True)
@@ -512,7 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_GLOBAL_DEFAULTS = {"json": False, "cache": None, "workers": 1, "bound": DEFAULT_MAX_H}
+# each global flag's default, and the exact JSON types a config file may give it
+_GLOBAL_DEFAULTS = {
+    "json": (False, (bool,)),
+    "cache": (None, (str, type(None))),
+    "workers": (1, (int,)),
+    "bound": (DEFAULT_MAX_H, (int,)),
+}
 
 
 def _apply_config(args) -> None:
@@ -526,15 +549,10 @@ def _apply_config(args) -> None:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in config.items():
-            if key == "json":
-                ok = isinstance(value, bool)
-            elif key == "cache":
-                ok = value is None or isinstance(value, str)
-            else:
-                ok = isinstance(value, int) and not isinstance(value, bool)
-            if not ok:
+            # the type is compared, since a bool is an int to isinstance
+            if type(value) not in _GLOBAL_DEFAULTS[key][1]:
                 raise ValueError(f"config key {key!r} has a value of the wrong type: {value!r}")
-    for key, default in _GLOBAL_DEFAULTS.items():
+    for key, (default, _) in _GLOBAL_DEFAULTS.items():
         if getattr(args, key) is None:
             setattr(args, key, config.get(key, default))
 

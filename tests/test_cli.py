@@ -3,6 +3,7 @@ codes, the scan harness, and cache coherence."""
 
 import json
 import os
+import tracemalloc
 import weakref
 from contextlib import closing
 
@@ -136,13 +137,13 @@ def test_cache_record_matches_fresh_recompute(tmp_path, capsys):
 
     cache_path = tmp_path / "cache.jsonl"
     run(capsys, "--json", "--cache", str(cache_path), "scan", "-15", "15")
-    cache = ResultCache(cache_path)
-    for d in (-15, -5, 3, 11, 13):
-        D = d if d % 4 == 1 else 4 * d
-        cached = cache.get(D)
-        assert cached is not None, d
-        fresh = json.loads(json.dumps(compute_record(d)))
-        assert cached == fresh, d
+    with closing(ResultCache(cache_path)) as cache:
+        for d in (-15, -5, 3, 11, 13):
+            D = d if d % 4 == 1 else 4 * d
+            cached = cache.get(D)
+            assert cached is not None, d
+            fresh = json.loads(json.dumps(compute_record(d)))
+            assert cached == fresh, d
 
 
 def test_scan_cache_tolerates_corruption(tmp_path, capsys):
@@ -207,12 +208,12 @@ def test_interrupted_scan_keeps_complete_records(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         cli.run_scan(cli.ScanJob(-40, 40, cli.ALL_CHECKS), cache)
     assert len(path.read_text().splitlines()) == len(done) == k
-    loaded = cli.ResultCache(path)
     squarefree = [d for d in range(-40, 41) if d not in (0, 1) and all(d % (p * p) for p in (2, 3, 5))]
     assert set(done) < set(squarefree)
-    for d in squarefree:
-        fresh = json.loads(json.dumps(cli.compute_record(d))) if d in done else None
-        assert loaded.get(d if d % 4 == 1 else 4 * d) == fresh, d
+    with closing(cli.ResultCache(path)) as loaded:
+        for d in squarefree:
+            fresh = json.loads(json.dumps(cli.compute_record(d))) if d in done else None
+            assert loaded.get(d if d % 4 == 1 else 4 * d) == fresh, d
     cache.close()
 
 
@@ -229,7 +230,7 @@ def test_scan_reports_anomaly_of_cached_record(tmp_path, capsys):
     assert data["anomalies"] == [{"d": -5, "failed": ["gauss"], "report": rec["genus_report"]}]
     # run_scan tallies a failure by ``ok is False``: every outcome is exactly
     # True, False or None, for a cached record as for fresh ones
-    records = [cli.ResultCache(path).get(-20)] + [cli.compute_record(d) for d in (-6, -5, -3, -2, 2, 3, 5)]
+    records = [_cached(path, -20)] + [cli.compute_record(d) for d in (-6, -5, -3, -2, 2, 3, 5)]
     for record in records:
         for ok in cli.evaluate_checks(record, cli.ALL_CHECKS).values():
             assert ok is True or ok is False or ok is None, (record["genus_report"]["d"], ok)
@@ -260,6 +261,12 @@ def _cache_line(D, value, **fields):
     return json.dumps({"key": D, "version": "1", "value": value, **fields}, sort_keys=True)
 
 
+def _cached(path, D):
+    # the record a fresh cache on ``path`` serves for D, its reader closed
+    with closing(cli.ResultCache(path)) as cache:
+        return cache.get(D)
+
+
 def test_cache_serves_newest_valid_line(tmp_path):
     # the oldest line is valid too, with another value: the newest valid
     # line wins, and the torn or mistyped lines after it are skipped
@@ -272,7 +279,7 @@ def test_cache_serves_newest_valid_line(tmp_path):
     bool_h = _cache_line(-20, {**value, "class_group": {**value["class_group"], "h_plus": True}})
     for newest in (good[: len(good) // 2], mistyped, bool_h, _cache_line(-20, value, version="0")):
         path.write_text(oldest + "\n" + good + "\n" + newest + "\n")
-        assert cli.ResultCache(path).get(-20) == value, newest
+        assert _cached(path, -20) == value, newest
 
 
 def test_cache_serves_only_canonical_lines(tmp_path):
@@ -284,9 +291,9 @@ def test_cache_serves_only_canonical_lines(tmp_path):
     compact = json.dumps({"key": -20, "version": "1", "value": value}, separators=(",", ":"))
     for line in (reordered, spaced, compact):
         path.write_text(line + "\n")
-        assert cli.ResultCache(path).get(-20) is None, line[:40]
+        assert _cached(path, -20) is None, line[:40]
     path.write_text(_cache_line(-20, value) + "\n")
-    assert cli.ResultCache(path).get(-20) == value
+    assert _cached(path, -20) == value
 
 
 def test_cache_record_after_torn_tail_is_served(tmp_path):
@@ -298,7 +305,7 @@ def test_cache_record_after_torn_tail_is_served(tmp_path):
     value = json.loads(json.dumps(cli.compute_record(2)))
     with closing(cli.ResultCache(path)) as cache:
         cache.put(8, value)
-    assert cli.ResultCache(path).get(8) == value
+    assert _cached(path, 8) == value
 
 
 def test_cache_checks_decoded_key_against_prefix(tmp_path):
@@ -310,9 +317,9 @@ def test_cache_checks_decoded_key_against_prefix(tmp_path):
     forged = '{"key": -20, ' + _cache_line(-7, other)[1:]
     assert json.loads(forged)["key"] == -7
     path.write_text(_cache_line(-20, older) + "\n" + forged + "\n")
-    assert cli.ResultCache(path).get(-20) == older
+    assert _cached(path, -20) == older
     path.write_text(forged + "\n")
-    assert cli.ResultCache(path).get(-20) is None
+    assert _cached(path, -20) is None
 
 
 def test_cached_scan_decodes_only_its_window(tmp_path, monkeypatch):
@@ -325,9 +332,55 @@ def test_cached_scan_decodes_only_its_window(tmp_path, monkeypatch):
     calls = []
     loads = cli.json.loads
     monkeypatch.setattr(cli.json, "loads", lambda s, **kw: calls.append(s) or loads(s, **kw))
-    summary = cli.run_scan(job, cli.ResultCache(path))
+    with closing(cli.ResultCache(path)) as cache:
+        summary = cli.run_scan(job, cache)
     assert summary == expected
     assert 0 < len(calls) <= summary["scanned"] == 13
+
+
+def test_cached_scan_memory_does_not_grow_with_the_cache_file(tmp_path):
+    # about 1.9 MB of padded canonical lines, all for keys outside the
+    # window: a loader that kept the file's text would hold it all
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(_cache_line(D, {"pad": "x" * 3800}) + "\n" for D in range(10_000, 10_500)))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with closing(cli.ResultCache(path)) as cache:
+            cli.run_scan(cli.ScanJob(-30, 30, cli.ALL_CHECKS), cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, (peak, size)
+
+
+def test_cache_splits_lines_on_newline_only(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    values = {-20: json.loads(json.dumps(cli.compute_record(-5))), -28: json.loads(json.dumps(cli.compute_record(-7)))}
+    first, second = (_cache_line(D, value) for D, value in values.items())
+    path.write_bytes((first + "\r\n" + second + "\r\n").encode())
+    assert {D: _cached(path, D) for D in values} == values
+    # a carriage return or a Unicode line separator does not end a line,
+    # so two records joined by one are one line that does not parse
+    for sep in ("\r", "\u2028"):
+        path.write_bytes((first + sep + second + "\n").encode())
+        assert [_cached(path, D) for D in values] == [None, None], repr(sep)
+
+
+def test_cache_get_after_puts_reads_the_original_record(tmp_path):
+    # offsets taken at load stay valid while put appends to the same file
+    path = tmp_path / "cache.jsonl"
+    values = {d if d % 4 == 1 else 4 * d: json.loads(json.dumps(cli.compute_record(d))) for d in (-5, -7, 2, 3)}
+    path.write_text("".join(_cache_line(D, value) + "\n" for D, value in values.items()))
+    old = iter(values.items())
+    with closing(cli.ResultCache(path)) as cache:
+        D, value = next(old)
+        assert cache.get(D) == value  # opens the reader before any append
+        for d in (5, 6, 7, 10):
+            cache.put(4 * d if d % 4 != 1 else d, cli.compute_record(d))
+        for D, value in old:
+            assert cache.get(D) == value, D
+    assert len(path.read_text().splitlines()) == len(values) + 4
 
 
 def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
@@ -556,3 +609,13 @@ def test_config_file_rejects_wrong_types(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         code, _, err = run(capsys, "--config", str(cfg), "genus", "-d", "-5")
         assert code == 2 and "error" in err, bad
+
+
+def test_config_file_types_are_exact(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"workers": 2.0}))
+    code, _, err = run(capsys, "--config", str(cfg), "genus", "-d", "-5")
+    assert code == 2 and "wrong type" in err
+    cfg.write_text(json.dumps({"cache": None, "json": True}))
+    code, out, _ = run(capsys, "--config", str(cfg), "genus", "-d", "-5")
+    assert code == 0 and json.loads(out)["d"] == -5
