@@ -3,10 +3,12 @@
 
 The main entry points:
 
-- ``factorize`` / ``is_prime`` / ``cf_expand``: exact factorization and
-  periodic continued fractions.
+- ``factorize`` / ``is_prime`` / ``cf_expand``: exact factorization, and
+  the preperiod and minimal period of a quadratic irrational's continued
+  fraction.
 - ``field_from_d`` / ``fundamental_unit`` / ``has_norm_minus_one``:
-  quadratic field descriptors and unit arithmetic.
+  quadratic field descriptors, and the fundamental unit read off the
+  one purely periodic expansion of the quotient where the period starts.
 - ``class_group`` / ``reduce`` / ``compose`` / ``ambiguous_form``: binary
   quadratic forms and the full narrow class group.
 - ``verify_gauss`` / ``genus_map`` / ``wide_two_torsion``: the genus map
@@ -41,7 +43,6 @@ from .intkit import (
     Factorization,
     PeriodicCF,
     cf_expand,
-    cf_quotients,
     factorize,
     is_prime,
 )

@@ -18,7 +18,7 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bqf import class_group, DEFAULT_MAX_H, _require_within
+from .bqf import class_group, DEFAULT_MAX_DISC, DEFAULT_MAX_H, _require_within
 from .errors import ResourceLimitError
 from .genus import genus_report_json, report_for_d
 from .intkit import factorize
@@ -64,8 +64,20 @@ def _dump(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-# the start of every line _dump writes to the cache: sort_keys puts "key" first
-_KEY_PREFIX = re.compile(rb'\{"key": (-?[0-9]+), ')
+def _load_json(text: str):
+    """``json.loads`` for input from outside the program: a document
+    nested too deep for the parser is a ValueError, like any other that
+    does not decode."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
+# the start of every line _dump writes to the cache: sort_keys puts "key"
+# first. A key has at most the digits of the largest |D| a scan may ask
+# for, so a longer one is skipped before int() meets a string it refuses
+_KEY_PREFIX = re.compile(rb'\{"key": (-?[0-9]{1,%d}), ' % len(str(DEFAULT_MAX_DISC)))
 # bytes read at a time while indexing: with the default 8 KiB buffer, the
 # bare line iteration over an 818 KB cache took 0.59 ms instead of 0.25 ms
 _INDEX_BUFFER = 1 << 16
@@ -76,7 +88,7 @@ def _valid_value(line: str, D: int):
     the current schema for key ``D`` whose class number and the genus
     report keys the checks read have their exact types, else None."""
     try:
-        rec = json.loads(line)
+        rec = _load_json(line)
         if not isinstance(rec, dict) or rec.get("version") != SCHEMA_VERSION:
             return None
         value = rec["value"]
@@ -89,7 +101,7 @@ def _valid_value(line: str, D: int):
             and all(type(rep.get(k)) is t for k, t in _REPORT_TYPES.items())
         ):
             return value
-    except (json.JSONDecodeError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError):
         pass
     return None
 
@@ -100,17 +112,19 @@ class ResultCache:
     Loading only indexes the file by byte offset: it reads the file as
     bytes, splits it into lines on ``\\n`` alone, and files the
     ``(offset, length)`` of each line that starts with the prefix
-    ``{"key": <int>, `` that ``_dump`` writes under that key. Any other
-    line is skipped, and no line text is kept. A record is read from
-    disk, decoded (undecodable bytes replaced) and validated when ``get``
+    ``{"key": <int>, `` that ``_dump`` writes under that key, the int of
+    at most the digits of ``DEFAULT_MAX_DISC``. Any other line is
+    skipped, and no line text is kept. A record is read from disk,
+    decoded (undecodable bytes replaced) and validated when ``get``
     first asks for its key, newest line first, and the first valid one
     is kept in ``records``. So the newest valid record for a key wins. A
-    line is skipped if it does not parse, or if its record lacks an int
-    class number or one of the genus report keys the checks read at its
-    exact type: ints ``d``, ``r``, ``wide_rank``, list ``kernel_masks``,
-    bools ``gauss_holds``, ``image_is_two_torsion``,
-    ``support_class_principal`` and ``norm_minus_one`` (0 is no bool,
-    True no int). So neither a torn write nor a mistyped edit poisons
+    line is skipped if it does not decode (an int too long to convert
+    and nesting too deep for the parser included), or if its record
+    lacks an int class number or one of the genus report keys the
+    checks read at its exact type: ints ``d``, ``r``, ``wide_rank``,
+    list ``kernel_masks``, bools ``gauss_holds``,
+    ``image_is_two_torsion``, ``support_class_principal`` and
+    ``norm_minus_one`` (0 is no bool, True no int). So neither a torn write nor a mistyped edit poisons
     the file. A line whose decoded ``key`` differs from its prefix key
     (two ``key`` members) is never served. The file is assumed
     append-only, so the offsets taken at load stay valid while ``put``
@@ -348,9 +362,8 @@ def cmd_scan(args) -> int:
 
 def cmd_keylemma(args) -> int:
     try:
-        data = json.loads(Path(args.config_file).read_text())
-        config = BranchConfiguration.from_json_dict(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        config = BranchConfiguration.from_json_dict(_load_json(Path(args.config_file).read_text()))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: cannot read branch configuration: {exc}", file=sys.stderr)
         return 2
     reps = kernel_mod_e(config)
@@ -542,7 +555,7 @@ def _apply_config(args) -> None:
     # resolution order: explicit flag > config file entry > built-in default
     config = {}
     if args.config:
-        config = json.loads(Path(args.config).read_text())
+        config = _load_json(Path(args.config).read_text())
         if not isinstance(config, dict):
             raise ValueError("the config file must hold a JSON object")
         unknown = set(config) - set(_GLOBAL_DEFAULTS)
@@ -566,7 +579,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,6 @@ __all__ = [
     "Factorization",
     "PeriodicCF",
     "cf_expand",
-    "cf_quotients",
-    "cf_state",
     "factorize",
     "is_prime",
 ]
@@ -223,25 +221,3 @@ def cf_expand(P: int, Q: int, D: int) -> PeriodicCF:
         Pi = Pn
     start = seen[(Pi, Qi)]
     return PeriodicCF(P, Q, D, tuple(quots[:start]), tuple(quots[start:]))
-
-
-def cf_quotients(cf: PeriodicCF, count: int) -> list[int]:
-    """First ``count`` partial quotients, re-read from preperiod + period."""
-    out = list(cf.preperiod[:count])
-    i = 0
-    while len(out) < count:
-        out.append(cf.period[i % len(cf.period)])
-        i += 1
-    return out
-
-
-def cf_state(cf: PeriodicCF, index: int) -> tuple[int, int]:
-    """(P, Q) of the complete quotient at position ``index``.
-
-    Index len(preperiod) is the state where the period starts.
-    """
-    P, Q = cf.P, cf.Q
-    for a in cf_quotients(cf, index):
-        P = a * Q - P
-        Q = (cf.D - P * P) // Q
-    return P, Q

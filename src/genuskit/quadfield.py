@@ -11,8 +11,9 @@ downstream as bitmasks over that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
-from .intkit import cf_expand, cf_state, factorize
+from .intkit import cf_expand, factorize
 
 __all__ = [
     "QuadField",
@@ -95,26 +96,27 @@ def field_from_d(d: int) -> QuadField:
 def fundamental_unit(field: QuadField) -> QuadUnit:
     """Fundamental unit of the ring of integers of a real quadratic field.
 
-    Computed from the continued fraction of sqrt(d) (d = 2, 3 mod 4) or of
-    (1 + sqrt(d))/2 (d = 1 mod 4): the product of partial-quotient
-    matrices over one period is an automorph of the periodic tail, and
-    reading it against the complete quotient at the period start gives
-    the smallest unit > 1 of the maximal order. Its norm is (-1)^(period
-    length).
+    Computed from the continued fraction of the complete quotient where
+    the period of sqrt(d) (d = 2, 3 mod 4) or of (1 + sqrt(d))/2 (d = 1
+    mod 4) starts: a0 + sqrt(d), or (2 a0 - 1 + sqrt(d))/2. It is reduced,
+    so its expansion is purely periodic (Galois), and the product of
+    partial-quotient matrices over one period is its automorph. Reading
+    that against the quotient itself gives the smallest unit > 1 of the
+    maximal order. Its norm is (-1)^(period length).
     """
     d = field.d
     if d < 0:
         raise ValueError("imaginary quadratic fields have a finite unit group; no fundamental unit")
-    cf = cf_expand(1, 2, d) if d % 4 == 1 else cf_expand(0, 1, d)
-    P, Q = cf_state(cf, len(cf.preperiod))
+    s = isqrt(d)
+    # the quotient (P + sqrt(d))/Q where the period starts: P = a0 = s for
+    # Q = 1, and P = 2 a0 - 1, the largest odd number <= s, for Q = 2
+    P, Q = (s - (s + 1) % 2, 2) if d % 4 == 1 else (s, 1)
+    cf = cf_expand(P, Q, d)
     a11, a12, a21, a22 = 1, 0, 0, 1
     for a in cf.period:
         a11, a12, a21, a22 = a11 * a + a12, a11, a21 * a + a22, a21
     # unit = a21 * (P + sqrt(d))/Q + a22, written as (x + y sqrt(d)) / 2
-    x2, y2 = 2 * (a21 * P + a22 * Q), 2 * a21
-    if x2 % Q or y2 % Q:
-        raise ArithmeticError(f"automorph of d={d} did not land in the maximal order (bug)")
-    x, y = x2 // Q, y2 // Q
+    x, y = 2 * (a21 * P + a22 * Q) // Q, 2 * a21 // Q
     if x % 2 == 0 and y % 2 == 0:
         x, y, halved = x // 2, y // 2, False
         norm = x * x - d * y * y

@@ -171,6 +171,19 @@ def test_scan_cache_tolerates_corruption(tmp_path, capsys):
         path = tmp_path / f"{next(iter(bad))}.jsonl"
         path.write_text(json.dumps({"key": 5, "version": "1", "value": {"class_group": {"h_plus": 1}, "genus_report": {**report, **bad}}}) + "\n")
         assert run(capsys, "--json", "--cache", str(path), "scan", "2", "10") == cold, bad
+    # lines that do not decode: a key or an int too long for int(), and
+    # nesting too deep for the parser; each after a valid line for the key
+    good = _cache_line(5, json.loads(json.dumps(cli.compute_record(5))))
+    undecodable = {
+        "long_key": '{"key": ' + "5" * 5000 + ', "version": "1", "value": {}}',
+        "long_int": '{"key": 5, "value": ' + "5" * 5000 + ', "version": "1"}',
+        "deep": '{"key": 5, "version": "1", "value": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    }
+    for name, line in undecodable.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(good + "\n" + line + "\n")
+        assert run(capsys, "--json", "--cache", str(path), "scan", "2", "10") == cold, name
+        assert _cached(path, 5) == json.loads(good)["value"], name
 
 
 def test_cached_scan_honours_bound(tmp_path, capsys):
@@ -466,6 +479,10 @@ def test_keylemma_bad_file(tmp_path, capsys):
     path.write_text("{nope")
     code, _, err = run(capsys, "--json", "keylemma", str(path))
     assert code == 2
+    # nested too deep for the parser: a usage error, not a traceback
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "--json", "keylemma", str(path))
+    assert code == 2 and err.startswith("error:")
 
 
 @pytest.mark.parametrize(
@@ -609,6 +626,10 @@ def test_config_file_rejects_wrong_types(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         code, _, err = run(capsys, "--config", str(cfg), "genus", "-d", "-5")
         assert code == 2 and "error" in err, bad
+    # nested too deep for the parser: a usage error, not a traceback
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "--config", str(cfg), "genus", "-d", "-5")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_config_file_types_are_exact(tmp_path, capsys):

@@ -9,13 +9,7 @@ from math import isqrt
 
 import pytest
 
-from genuskit.intkit import (
-    cf_expand,
-    cf_quotients,
-    cf_state,
-    factorize,
-    is_prime,
-)
+from genuskit.intkit import cf_expand, factorize, is_prime
 
 
 def _sieve_set(limit):
@@ -147,13 +141,18 @@ def _naive_quotients(P, Q, D, count):
     return out
 
 
+def _quotients(cf, count):
+    # the first ``count`` partial quotients, read from preperiod + period * k
+    return list(cf.preperiod + cf.period * (count // len(cf.period) + 1))[:count]
+
+
 def test_cf_reexpansion_matches_direct_stepper():
     cases = [(0, 1, 2), (0, 1, 34), (1, 2, 5), (3, 7, 11), (-2, 5, 13), (4, -3, 19), (1, 3, 5)]
     for P, Q, D in cases:
         cf = cf_expand(P, Q, D)
         # the expansion object may have rescaled (P, Q, D); both encode the
         # same real number so the quotient streams must agree
-        assert cf_quotients(cf, 60) == _naive_quotients(cf.P, cf.Q, cf.D, 60)
+        assert _quotients(cf, 60) == _naive_quotients(cf.P, cf.Q, cf.D, 60)
 
 
 def test_cf_period_minimality():
@@ -176,13 +175,6 @@ def test_cf_pell_convergent():
             continue
         cf = cf_expand(0, 1, D)
         x, x0, y, y0 = 1, 0, 0, 1
-        for a in cf_quotients(cf, len(cf.preperiod) + len(cf.period) - 1):
+        for a in _quotients(cf, len(cf.preperiod) + len(cf.period) - 1):
             x, x0, y, y0 = a * x + x0, x, a * y + y0, y
         assert abs(x * x - D * y * y) == 1, D
-
-
-def test_cf_state_replay():
-    cf = cf_expand(0, 1, 34)
-    assert cf_state(cf, 0) == (0, 1)
-    assert cf_state(cf, 1) == (5, 9)
-    assert cf_state(cf, len(cf.preperiod) + len(cf.period)) == cf_state(cf, len(cf.preperiod))

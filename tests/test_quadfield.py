@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from genuskit.intkit import cf_expand, cf_quotients, factorize
+from genuskit.intkit import cf_expand, factorize
 from genuskit.quadfield import field_from_d, fundamental_unit, has_norm_minus_one
 
 _SQ_RES = {(r * r) % 5760 for r in range(5760)}
@@ -97,23 +97,40 @@ def test_fundamental_unit_is_unit_across_range():
         assert u.x > 0 and u.y > 0
 
 
+def _first_convergent(cf, is_unit):
+    # the first convergent x/y of cf with is_unit(x, y), read from
+    # preperiod + period * 2; convergents by x_i = a_i x_(i-1) + x_(i-2),
+    # and likewise y
+    x, x0, y, y0 = 1, 0, 0, 1
+    for a in cf.preperiod + cf.period * 2:
+        x, x0, y, y0 = a * x + x0, x, a * y + y0, y
+        if is_unit(x, y):
+            return x, y
+    return None
+
+
 def test_fundamental_unit_minimal_against_convergents():
     # for d = 2, 3 (mod 4) the unit must be the first convergent of sqrt(d)
-    # hitting |x^2 - d y^2| = 1; convergents x/y by x_i = a_i x_(i-1) +
-    # x_(i-2), and likewise y
+    # hitting |x^2 - d y^2| = 1
     for d in _squarefree_range(2, 200):
         if d % 4 == 1:
             continue
-        cf = cf_expand(0, 1, d)
-        first = None
-        x, x0, y, y0 = 1, 0, 0, 1
-        for a in cf_quotients(cf, len(cf.preperiod) + 2 * len(cf.period)):
-            x, x0, y, y0 = a * x + x0, x, a * y + y0, y
-            if abs(x * x - d * y * y) == 1:
-                first = (x, y)
-                break
+        first = _first_convergent(cf_expand(0, 1, d), lambda x, y: abs(x * x - d * y * y) == 1)
         u = fundamental_unit(field_from_d(d))
         assert first == (u.x, u.y), d
+
+
+def test_fundamental_unit_minimal_against_convergents_one_mod_four():
+    # for d = 1 (mod 4) the unit a + b w, w = (1 + sqrt(d))/2, must come
+    # from the first convergent p/q of w whose p - q w has norm
+    # p^2 - p q - q^2 (d - 1)/4 = +-1: its conjugate a + b - b w is small,
+    # so p = a + b and q = b, and a + b w = (2p - q + q sqrt(d))/2
+    for d in _squarefree_range(2, 1999):
+        if d % 4 != 1:
+            continue
+        p, q = _first_convergent(cf_expand(1, 2, d), lambda p, q: abs(p * p - p * q - q * q * (d - 1) // 4) == 1)
+        u = fundamental_unit(field_from_d(d))
+        assert ((u.x, u.y) if u.halved else (2 * u.x, 2 * u.y)) == (2 * p - q, q), d
 
 
 def test_fundamental_unit_minimal_brute_small():
