@@ -21,9 +21,11 @@ so the search runs regardless of the filter's outcome.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import comb
 
 from .errors import ResourceLimitError, SearchBudgetExceeded
@@ -189,18 +191,22 @@ def feasible_distributions(problem: WeightCodeProblem) -> list[WeightDistributio
         )
     K = krawtchouk_table(problem.n)
     scale = 1 << problem.k
+    # 2^k B_j = sum_i A_i K[j][i], and only A_0 = 1 and the A_w of the
+    # allowed weights can be nonzero
+    dual_rows = [(row[0], [row[w] for w in weights]) for row in K]
     out = []
 
     def assign(idx: int, remaining: int, partial: list[int]):
         if idx == t - 1:
-            counts = [0] * (problem.n + 1)
-            counts[0] = 1
-            for w, a in zip(weights, partial + [remaining]):
-                counts[w] = a
-            for j in range(problem.n + 1):
-                s = sum(a * K[j][i] for i, a in enumerate(counts) if a)
+            amounts = partial + [remaining]
+            for base, coefficients in dual_rows:
+                s = base + sum([a * c for a, c in zip(amounts, coefficients)])
                 if s < 0 or s % scale:
                     return
+            counts = [0] * (problem.n + 1)
+            counts[0] = 1
+            for w, a in zip(weights, amounts):
+                counts[w] = a
             out.append(WeightDistribution(tuple(counts)))
             return
         for a in range(remaining + 1):
@@ -335,6 +341,108 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
     return rows
 
 
+def _orbit_labels(blocks, depth: int, ids: dict) -> tuple[tuple, tuple]:
+    """(invariant, labels) of a search state under GL(depth, 2).
+
+    ``blocks`` is a sequence of (pattern, size) with distinct patterns
+    below 2^depth. A change of basis A of the rows maps the block on
+    pattern p to pattern A p and permutes the span words, so these are
+    unchanged by it: the label of a block, (size, sorted weights of the
+    span words odd on its pattern), and the invariant, (sorted weights
+    of the 2^depth span words, sorted labels of the blocks).
+    ``labels[p]`` is the label of the block on pattern p, or None if
+    there is none. ``ids`` numbers the labels met so far and is extended
+    here, so that equal labels are one small int: two states compare
+    only under the same ``ids``.
+    """
+    odd = _odd_parities(1 << depth)
+    weights = [0] * (1 << depth)
+    for pat, size in blocks:
+        weights = [w + size * p for w, p in zip(weights, odd[pat])]
+    labels = [None] * (1 << depth)
+    for pat, size in blocks:
+        label = (size, tuple(sorted(compress(weights, odd[pat]))))
+        labels[pat] = ids.setdefault(label, len(ids))
+    weights.sort()
+    invariant = (tuple(weights), tuple(sorted(labels[pat] for pat, _ in blocks)))
+    return invariant, tuple(labels)
+
+
+def _gl_map(x, y) -> list[int] | None:
+    """An A in GL(depth, 2) that carries state x onto state y, as the
+    list image[p] = A p, or None if there is none.
+
+    x and y are ``labels`` of two states of one depth under one ``ids``
+    (``_orbit_labels``), and the present patterns of x span GF(2)^depth,
+    as the patterns of every search state do; the search calls it only
+    on states with equal invariants. The identity is tried first.
+    Otherwise A is fixed on a basis of x's patterns, taken rarest label
+    first: each basis pattern goes to a pattern of y with the same label
+    outside the span of the images so far. A partial map is kept only
+    while every p in the span so far, the zero pattern and patterns
+    without a block included, has x[p] == y[A p]. A full map has passed
+    that test on all of GF(2)^depth, so it maps each block of x onto a
+    block of y of the same size.
+    """
+    if x == y:
+        return list(range(len(x)))
+    present = [p for p, label in enumerate(x) if p and label is not None]
+    freq = Counter(x[p] for p in present)
+    basis, span = [], {0}
+    for p in sorted(present, key=lambda p: freq[x[p]]):
+        if p not in span:
+            basis.append(p)
+            span |= {s ^ p for s in span}
+    images = [[c for c, label in enumerate(y) if label == x[b]] for b in basis]
+
+    def extend(i, xs, ys):
+        if i == len(basis):
+            image = [0] * len(x)
+            for p, q in zip(xs, ys):
+                image[p] = q
+            return image
+        b = basis[i]
+        for c in images[i]:
+            if c in ys:
+                continue
+            new_xs, new_ys = [p ^ b for p in xs], [q ^ c for q in ys]
+            if all(x[p] == y[q] for p, q in zip(new_xs, new_ys)):
+                image = extend(i + 1, xs + new_xs, ys + new_ys)
+                if image is not None:
+                    return image
+        return None
+
+    return extend(0, [0], [0]) if x[0] == y[0] else None
+
+
+class _FailedStates:
+    """Failed search states, up to GL(depth, 2).
+
+    ``key(blocks, depth)`` is a state's (invariant, labels) from
+    ``_orbit_labels``, under label numbers shared by every state of this
+    memo. A key is in the memo when ``_gl_map`` finds a change of basis
+    that carries its state onto a stored state with the same invariant;
+    the invariant alone selects the stored states to try, and never
+    decides.
+    """
+
+    def __init__(self):
+        # invariant -> labels of the stored states with that invariant
+        self._states: dict[tuple, list[tuple]] = {}
+        self._label_ids: dict[tuple, int] = {}
+
+    def key(self, blocks, depth: int) -> tuple[tuple, tuple]:
+        return _orbit_labels(blocks, depth, self._label_ids)
+
+    def __contains__(self, key) -> bool:
+        invariant, labels = key
+        return any(_gl_map(labels, other) is not None for other in self._states.get(invariant, ()))
+
+    def add(self, key) -> None:
+        invariant, labels = key
+        self._states.setdefault(invariant, []).append(labels)
+
+
 def code_search(problem: WeightCodeProblem, *, node_budget: int | None = None) -> SearchOutcome:
     """Exhaustive search for an [n, k] code with all nonzero weights in
     the allowed set.
@@ -348,15 +456,32 @@ def code_search(problem: WeightCodeProblem, *, node_budget: int | None = None) -
     2^depth new span weights are checked exactly for each new row; any
     forbidden (or zero, i.e. dependent) word prunes the row. The rows of
     a state are enumerated coarse to fine by ``_candidate_rows`` and
-    tried in lexicographic order of their per-block counts. Explored
-    failing states are memoized by their multiset of (row pattern, size)
-    blocks, which is a complete column-permutation invariant of the
-    partial matrix.
+    tried in lexicographic order of their per-block counts.
+
+    Failed states are memoized up to GL(depth, 2) (``_FailedStates``).
+    A state is its multiset of (row pattern, size) blocks, which already
+    forgets the order of the columns. A change of basis A of the rows
+    chosen so far maps the span to itself, moves the block on pattern p
+    to pattern A p and keeps every weight, so a state equivalent to a
+    failed one fails too. The memo files each failed state under an
+    invariant of that action, computed by ``_orbit_labels``: the sorted
+    span weights and the sorted block labels, where a block's label is
+    its size and the sorted weights of the span words odd on it. A
+    child is skipped only when ``_gl_map`` finds an explicit A that
+    carries it onto a failed state with its invariant, checked block for
+    block; the identity is the first map tried, so an exact repeat is
+    skipped as before. Equal invariants alone never merge two states.
+    Only failed states are stored, so every skipped subtree holds no
+    witness: verdicts, witnesses and the path to the first witness are
+    those of a search without the memo.
 
     ``nodes`` counts the states visited plus the partial rows the
     enumeration accepts: a row weight from the menu, and each split of
-    one column group's count that survives pruning. ``node_budget``
-    bounds that count; past it, ``SearchBudgetExceeded`` carries the
+    one column group's count that survives pruning. States merged by a
+    change of basis are not visited, so on problems where merges happen
+    the count, and ``nodecode --json``'s ``search_nodes``, is lower than
+    under a memo of exact repeats alone. ``node_budget`` bounds that
+    count; past it, ``SearchBudgetExceeded`` carries the
     checkpoint keys n, k, depth_reached, nodes and candidates_found (rows
     the enumeration in progress has found, 0 between enumerations).
 
@@ -370,7 +495,7 @@ def code_search(problem: WeightCodeProblem, *, node_budget: int | None = None) -
     _check_size(problem)
     k = problem.k
     nodes = 0
-    failed_states: set[tuple] = set()
+    failed = _FailedStates()
 
     def tick(depth, found=0):
         nonlocal nodes
@@ -418,13 +543,13 @@ def code_search(problem: WeightCodeProblem, *, node_budget: int | None = None) -
         rows = _candidate_rows(blocks, depth, problem.allowed, lambda found: tick(depth, found))
         for comp in rows:
             child = split(blocks, comp, depth)
-            key = (depth + 1, tuple(sorted(child)))
-            if key in failed_states:
+            key = failed.key(child, depth + 1)
+            if key in failed:
                 continue
             found = search(child, depth + 1)
             if found is not None:
                 return found
-            failed_states.add(key)
+            failed.add(key)
         return None
 
     witness = search(((0, problem.n),), 0)

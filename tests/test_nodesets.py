@@ -24,7 +24,11 @@ from genuskit.nodesets import (
     macwilliams_dual,
     quintic_certificate,
     _candidate_rows,
+    _FailedStates,
+    _gl_map,
+    _orbit_labels,
 )
+import genuskit.nodesets as nodesets
 
 # ---------------------------------------------------------------------------
 # chi formula
@@ -234,6 +238,182 @@ def test_weight_closure_identity():
         assert bin(u ^ v).count("1") == bin(u).count("1") + bin(v).count("1") - 2 * bin(u & v).count("1")
 
 
+def _linear_map(columns):
+    """The linear map with the given images of the unit vectors, as the
+    list of images A p of the patterns p."""
+    image = [0]
+    for c in columns:
+        image += [q ^ c for q in image]
+    return image
+
+
+def _gl_images(depth):
+    """Every A in GL(depth, 2)."""
+    images = (_linear_map(columns) for columns in product(range(1, 1 << depth), repeat=depth))
+    return [image for image in images if len(set(image)) == 1 << depth]
+
+
+def _random_state(rng, depth, max_size):
+    """Blocks (pattern, size) on distinct patterns that span GF(2)^depth."""
+    while True:
+        patterns = rng.sample(range(1 << depth), rng.randint(depth, 1 << depth))
+        span = {0}
+        for p in patterns:
+            span |= {s ^ p for s in span}
+        if len(span) == 1 << depth:
+            return [(p, rng.randint(1, max_size)) for p in patterns]
+
+
+def _moved(rng, image, blocks):
+    moved = [(image[p], size) for p, size in blocks]
+    rng.shuffle(moved)
+    return moved
+
+
+def _check_map(image, x_blocks, y_blocks):
+    # a change of basis that carries every block onto one of the same size
+    depth = len(image).bit_length() - 1
+    assert all(image[p ^ q] == image[p] ^ image[q] for p in range(1 << depth) for q in range(1 << depth))
+    assert sorted(image) == list(range(1 << depth))
+    assert sorted((image[p], size) for p, size in x_blocks) == sorted(y_blocks)
+
+
+def test_gl_map_matches_brute_force():
+    # every pair is decided against all of GL(depth, 2): 1, 6 and 168 maps
+    rng = random.Random(71)
+    found = rejected = 0
+    for depth in (1, 2, 3):
+        group = _gl_images(depth)
+        assert len(group) == (1, 6, 168)[depth - 1]
+        for _ in range(200):
+            x_blocks = _random_state(rng, depth, 3)
+            image_of_x = _moved(rng, rng.choice(group), x_blocks)
+            for y_blocks in (image_of_x, _random_state(rng, depth, 3)):
+                ids = {}
+                x_invariant, x = _orbit_labels(x_blocks, depth, ids)
+                y_invariant, y = _orbit_labels(y_blocks, depth, ids)
+                target = dict(y_blocks)
+                equivalent = len(x_blocks) == len(y_blocks) and any(
+                    all(target.get(a[p]) == size for p, size in x_blocks) for a in group
+                )
+                image = _gl_map(x, y)
+                assert (image is not None) == equivalent, (depth, x_blocks, y_blocks)
+                if image is not None:
+                    assert x_invariant == y_invariant
+                    _check_map(image, x_blocks, y_blocks)
+                found += image is not None
+                rejected += image is None
+    assert found >= 600 and rejected >= 500
+
+
+def _maps_onto(x_patterns, y_patterns, depth):
+    """Is some A in GL(depth, 2) a bijection from x_patterns onto
+    y_patterns? Exhaustive over the images in y_patterns of one basis
+    chosen among x_patterns, which every such A must map into y_patterns."""
+    basis, span = [], [0]
+    for p in x_patterns:
+        if p not in span:
+            basis.append(p)
+            span += [s ^ p for s in span]
+    assert len(span) == 1 << depth
+    xs, ys = set(x_patterns), set(y_patterns)
+
+    def extend(i, image):
+        # image[j] is A span[j] for j < 2^i
+        if i == depth:
+            return {image[span.index(p)] for p in xs} == ys
+        for c in ys - set(image):
+            new = image + [q ^ c for q in image]
+            if all(new[j] in ys for j in range(1 << i, 2 << i) if span[j] in xs):
+                if extend(i + 1, new):
+                    return True
+        return False
+
+    return len(xs) == len(ys) and extend(0, [0])
+
+
+# Pairs of 12 and 14 patterns in GF(2)^5 with one invariant that no change
+# of basis maps onto each other. Such pairs are rare: none occur among the
+# states of depth <= 3 with block sizes <= 3.
+SAME_INVARIANT_INEQUIVALENT = [
+    ((1, 5, 7, 9, 11, 12, 16, 17, 18, 19, 23, 26), (3, 4, 6, 7, 9, 15, 16, 22, 24, 25, 27, 28)),
+    ((2, 3, 5, 9, 10, 11, 19, 20, 21, 22, 24, 25, 27, 30), (3, 5, 8, 10, 11, 15, 16, 18, 19, 23, 25, 27, 29, 31)),
+]
+
+
+def test_memo_rejects_inequivalent_states_with_one_invariant():
+    rng = random.Random(73)
+    for x_patterns, y_patterns in SAME_INVARIANT_INEQUIVALENT:
+        assert not _maps_onto(x_patterns, y_patterns, 5)
+        x_blocks = [(p, 1) for p in x_patterns]
+        y_blocks = [(p, 1) for p in y_patterns]
+        failed = _FailedStates()
+        x_key, y_key = failed.key(x_blocks, 5), failed.key(y_blocks, 5)
+        assert x_key[0] == y_key[0]
+        assert _gl_map(x_key[1], y_key[1]) is None and _gl_map(y_key[1], x_key[1]) is None
+        failed.add(x_key)
+        assert y_key not in failed
+        # while the image of the stored state under a random A is found
+        while True:
+            a = _linear_map([rng.randrange(1, 32) for _ in range(5)])
+            if len(set(a)) == 32:
+                break
+        moved = _moved(rng, a, x_blocks)
+        assert _maps_onto(x_patterns, [p for p, _ in moved], 5)
+        moved_key = failed.key(moved, 5)
+        assert moved_key in failed
+        image = _gl_map(moved_key[1], x_key[1])
+        assert image is not None
+        _check_map(image, moved, x_blocks)
+
+
+# The perfbench ``codes`` pool: (n, k, allowed).
+CODES_POOL = [
+    (32, 5, (16, 20, 32)), (17, 6, (4, 8, 12)), (17, 6, (4, 8, 14)), (18, 5, (6, 8, 14)),
+    (16, 6, (4, 8, 10)), (17, 6, (4, 8, 10)), (20, 6, (8, 12)), (22, 6, (8, 12, 16)),
+    (18, 6, (8, 14)), (16, 5, (6, 12)), (16, 6, (6, 12)), (16, 5, (6, 12, 14)), (16, 6, (6, 12, 14)),
+    (16, 5, (6, 12, 16)), (16, 6, (6, 12, 16)), (23, 5, (12, 14)), (17, 5, (4, 10, 12)),
+    (16, 6, (4, 10, 14)),
+]
+
+
+def test_merging_changes_no_result(monkeypatch):
+    # the same search with a memo of exact repeats alone: the invariant is
+    # then the state itself and the identity the only map. That search can
+    # take millions of nodes ([14, 6] {6, 8, 11, 14}: 5,061,515, against
+    # 2,661 with merging), so a random problem past its budget is left out
+    rng = random.Random(79)
+    problems = [WeightCodeProblem(n, k, frozenset(allowed)) for n, k, allowed in CODES_POOL]
+    while len(problems) < len(CODES_POOL) + 100:
+        n = rng.randint(6, 14)
+        k = rng.randint(4, min(6, n))
+        # even menus admit codes more often
+        weights = range(2, n + 1, 2) if rng.random() < 0.5 else range(1, n + 1)
+        allowed = rng.sample(weights, rng.randint(1, min(len(weights), 4)))
+        problems.append(WeightCodeProblem(n, k, frozenset(allowed)))
+    merged = [code_search(problem) for problem in problems]
+
+    def exact_labels(blocks, depth, ids):
+        labels = _orbit_labels(blocks, depth, ids)[1]
+        return labels, labels
+
+    monkeypatch.setattr(nodesets, "_orbit_labels", exact_labels)
+    monkeypatch.setattr(nodesets, "_gl_map", lambda x, y: list(range(len(x))) if x == y else None)
+    compared = fewer = exists = 0
+    for i, (problem, outcome) in enumerate(zip(problems, merged)):
+        try:
+            exact = code_search(problem, node_budget=20_000)
+        except SearchBudgetExceeded:
+            assert i >= len(CODES_POOL), problem
+            continue
+        assert (outcome.exists, outcome.generators) == (exact.exists, exact.generators), problem
+        assert outcome.nodes <= exact.nodes
+        compared += 1
+        fewer += outcome.nodes < exact.nodes
+        exists += outcome.exists
+    assert compared >= len(CODES_POOL) + 90 and fewer >= 40 and exists >= 20
+
+
 def _witness_distribution(n, gens):
     words = [0]
     for g in gens:
@@ -353,8 +533,12 @@ def test_quintic_code_problem_admits_reed_muller(default_certificate):
 
 
 def test_quintic_menu_without_full_weight_is_impossible():
-    # dropping the full-support weight makes the filter alone conclusive
-    assert feasible_distributions(WeightCodeProblem(32, 6, frozenset({16, 20}))) == []
+    # dropping the full-support weight makes the filter alone conclusive,
+    # and the search, which never reads the filter, agrees by exhaustion
+    problem = WeightCodeProblem(32, 6, frozenset({16, 20}))
+    assert feasible_distributions(problem) == []
+    outcome = code_search(problem)
+    assert outcome.verdict == "NONEXISTENT" and outcome.generators is None
 
 
 def test_quintic_31_nodes_stops_at_arithmetic():
