@@ -13,10 +13,13 @@ rho operator, two reduced forms are properly equivalent iff they lie on
 the same cycle, and the canonical representative of a class is the
 lexicographic minimum of its cycle.
 
-``class_group`` lists reduced forms b-first: for each b = D (mod 2), the
-a are the divisors of |b^2 - D|/4 up to its square root, so a <= |c| by
-construction (Cohen, GTM 138, section 5.3). For D > 0 it lists only the
-forms with |a| <= |c|; each rho cycle holds at least one of them.
+``class_group`` lists reduced forms a-first: for each a up to
+sqrt(|D|/3) (D < 0) or sqrt(D)/2 (D > 0), the b with b^2 = D (mod 4a)
+come from the square roots of D mod the prime powers of a, one b per
+residue mod 2a in the reduction window (Cohen, GTM 138, section 5.3).
+That is O(sqrt|D|) steps where listing divisors took O(|D|). For D > 0
+it lists only the forms with |a| <= |c|; each rho cycle holds at least
+one of them.
 
 One loop per sign reduces a form: ``reduce_with_transform`` runs it with
 ``track=True`` to accumulate the SL2(Z) change of variables, and
@@ -32,7 +35,7 @@ from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .errors import ResourceLimitError
-from .intkit import factorize, is_prime
+from .intkit import _sqrt_mod_prime, factorize, is_prime
 
 __all__ = [
     "Form",
@@ -316,42 +319,84 @@ def _ambiguous_form(p: int, D: int) -> Form:
     raise ArithmeticError(f"no ambiguous form for p={p}, D={D} (bug)")
 
 
-def _enumerate_definite(D: int) -> list[Form]:
-    """Every reduced positive definite form of disc D < 0, sorted.
+def _enumerate_reduced(D: int) -> list[Form]:
+    """The reduced forms of the fundamental discriminant D, sorted: all
+    positive definite ones when D < 0; when D > 0 those with |a| <= |c|,
+    one or more seeds per rho cycle for ``class_group`` to walk.
 
-    b runs over 0 <= b <= sqrt(|D|/3) with b = D (mod 2); the a with
-    b <= a <= c are the divisors of (b^2 - D)/4 up to its square root.
-    (a, -b, c) is reduced too unless b = 0, b = a or a = c.
+    a runs up to sqrt(|D|/3) when D < 0 and sqrt(D)/2 when D > 0.
+    ``roots[a]`` lists the b mod 2a with b^2 = D (mod 4a), built from the
+    list of m = a/p for the least prime p of a (Cohen, GTM 138, section
+    5.3). An odd p not dividing m combines by the Chinese remainder
+    theorem with ``roots[p]``, which the square root of D mod p gives
+    once per call. For p = 2 or p | m each b mod 2m lifts by testing its
+    p candidates mod 2a. A multiple of a prime without roots has none.
+
+    Each residue fixes one b in a window. For D < 0 the window is (-a, a]:
+    b in [0, a] gives (a, b, c), and the twin (a, -b, c) when
+    0 < b < a < c. For D > 0 it is (s - 2a, s] with s = isqrt(D), which
+    is the condition s - b < 2|a| for a reduced form; a <= |c| is then
+    the other half, because the reduced condition is symmetric in |a| and
+    |c| (4|a||c| = D - b^2, D not a square), and every cycle holds such a
+    form because each form's a is the c of the form before it. Each b is
+    checked against b^2 = D (mod 4a) before it makes a form.
     """
-    forms = []
-    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
-        num = (b * b - D) // 4
-        for a in [a for a in range(max(b, 1), isqrt(num) + 1) if num % a == 0]:
-            c = num // a
-            forms.append(Form(a, b, c))
-            if 0 < b < a < c:
-                forms.append(Form(a, -b, c))
-    return sorted(forms)
-
-
-def _enumerate_indefinite(D: int) -> list[Form]:
-    """The reduced forms of disc D > 0 with |a| <= |c|, sorted: one or
-    more seeds per rho cycle, for ``class_group`` to walk.
-
-    With s = isqrt(D), (a, b, c) is reduced iff 0 < b <= s and
-    s - b < 2|a| <= s + b. That condition is symmetric in |a| and |c|,
-    because 4|a||c| = D - b^2 and D is not a square, so running a over
-    the divisors of (D - b^2)/4 up to its square root needs no check on c.
-    Every cycle holds such a form: each form's a is the c of the form
-    before it, so |a| cannot fall all the way round a cycle.
-    """
-    forms = []
-    s = isqrt(D)
-    for b in range(D % 2, s + 1, 2):
-        num = (D - b * b) // 4
-        for a in [a for a in range((s - b) // 2 + 1, isqrt(num) + 1) if num % a == 0]:
-            forms += (Form(a, b, -(num // a)), Form(-a, b, num // a))
-    return sorted(forms)
+    if D < 0:
+        top = isqrt(-D // 3)
+    else:
+        s = isqrt(D)
+        top = s // 2
+    # least prime factor; spf[1] = 1, so a = 1 passes through the lift as is
+    spf = list(range(top + 1))
+    for p in range(isqrt(top), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, top + 1, p))
+    roots: list = [()] * (top + 1)
+    roots[1] = [D % 2]
+    forms: list[Form] = []
+    # builds the same Form as Form(a, b, c), without the generated
+    # Python-level __new__ that costs as much as the root arithmetic
+    new = tuple.__new__
+    for a in range(1, top + 1):
+        p = spf[a]
+        m = a // p
+        base = roots[m]
+        if not base or m > 1 and not roots[p]:
+            continue
+        a2, a4 = 2 * a, 4 * a
+        if p == 2 or m % p == 0:
+            rs = [x for r in base for x in range(r, a2, 2 * m) if (x * x - D) % a4 == 0]
+        elif m == 1:
+            # a = p, an odd prime: each root y mod p, moved to b = D (mod 2)
+            r = _sqrt_mod_prime(D, p)
+            ys = () if r is None else (r,) if r == 0 else (r, p - r)
+            rs = [y + p * ((y - D) % 2) for y in ys]
+        else:
+            # b = x (mod 2m) and b = y (mod 2p), where x = y = D (mod 2)
+            t = pow(m, -1, p)
+            rs = [x + 2 * m * ((y - x) // 2 * t % p) for x in base for y in roots[p]]
+        roots[a] = rs
+        if D < 0:
+            for b in rs:
+                if b <= a:
+                    n = b * b - D
+                    if n % a4:
+                        raise ArithmeticError(f"b = {b} is no square root of D = {D} mod {a4} (bug)")
+                    c = n // a4
+                    if c >= a:
+                        forms.append(new(Form, (a, b, c)))
+                        if 0 < b < a < c:
+                            forms.append(new(Form, (a, -b, c)))
+        else:
+            for r in rs:
+                b = s - (s - r) % a2
+                n = D - b * b
+                if n % a4:
+                    raise ArithmeticError(f"b = {b} is no square root of D = {D} mod {a4} (bug)")
+                c = n // a4
+                if c >= a:
+                    forms += (new(Form, (a, b, -c)), new(Form, (-a, b, c)))
+    forms.sort()
+    return forms
 
 
 @dataclass(frozen=True)
@@ -468,17 +513,16 @@ def _two_torsion_basis(cg: ClassGroup, orders) -> tuple[int, ...]:
 def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
     """Full narrow class group of a fundamental discriminant.
 
-    Enumerates reduced forms b-first, with a over the divisors of
-    |b^2 - D|/4 up to its square root: every reduced form when D < 0, and
-    when D > 0 the reduced forms with |a| <= |c|, which seed the rho
-    cycles that make up the classes. Every class order is read off one
-    walk per cyclic subgroup (one composition per step) and kept on the
-    group, and the invariant factors are read off those orders: h is not
-    factorised. Raises ResourceLimitError when |D| exceeds
-    ``DEFAULT_MAX_DISC`` (10^7) or the class number exceeds ``max_h``;
-    |D| is checked before D is factorised, so that error wins over
-    ValueError for an invalid D. A ``max_h`` below 1 is a ValueError,
-    raised before anything else.
+    Enumerates reduced forms a-first, with b from the square roots of D
+    mod 4a: every reduced form when D < 0, and when D > 0 the reduced
+    forms with |a| <= |c|, which seed the rho cycles that make up the
+    classes. Every class order is read off one walk per cyclic subgroup
+    (one composition per step) and kept on the group, and the invariant
+    factors are read off those orders: h is not factorised. Raises
+    ResourceLimitError when |D| exceeds ``DEFAULT_MAX_DISC`` (10^7) or the
+    class number exceeds ``max_h``; |D| is checked before D is
+    factorised, so that error wins over ValueError for an invalid D. A
+    ``max_h`` below 1 is a ValueError, raised before anything else.
     """
     if max_h < 1:
         raise ValueError(f"max_h must be at least 1, not {max_h}")
@@ -487,10 +531,10 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
 
     classes: list[list[Form]] = []
     if D < 0:
-        classes = [[f] for f in _enumerate_definite(D)]
+        classes = [[f] for f in _enumerate_reduced(D)]
     else:
         seen: set[Form] = set()
-        for f in _enumerate_indefinite(D):
+        for f in _enumerate_reduced(D):
             if f not in seen:
                 classes.append(_cycle_from(f, D))
                 seen.update(classes[-1])

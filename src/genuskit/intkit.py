@@ -1,5 +1,6 @@
-"""Exact integer foundations: deterministic factorization and periodic
-continued fractions of quadratic irrationals.
+"""Exact integer foundations: deterministic factorization, square roots
+modulo an odd prime, and periodic continued fractions of quadratic
+irrationals.
 
 Everything here is pure, exact (arbitrary precision) and deterministic;
 there is no shared mutable state, so every function is safe to call from
@@ -167,6 +168,41 @@ def _factor_large(m: int) -> list[tuple[int, int]]:
     for p, e in _factor_large(d) + _factor_large(m // d):
         merged[p] = merged.get(p, 0) + e
     return sorted(merged.items())
+
+
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p, in [0, p), or None when
+    n is not a square mod p.
+
+    For p = 3 (mod 4) it is n^((p+1)/4), kept only if it squares to n.
+    Otherwise Euler's criterion rules out a non-square, and Tonelli-Shanks
+    finds the root (Cohen, GTM 138, Algorithm 1.5.1). p is not checked:
+    for a composite p the search for a non-square need not end.
+    """
+    n %= p
+    if n == 0:
+        return 0
+    if p % 4 == 3:
+        x = pow(n, (p + 1) // 4, p)
+        return x if x * x % p == n else None
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    e, q = 0, p - 1
+    while q % 2 == 0:
+        e, q = e + 1, q // 2
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    # invariants: x^2 = n*b, y has order 2^e and b an order dividing 2^(e-1)
+    y, x, b = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
+    while b != 1:
+        m, t = 0, b
+        while t != 1:
+            t, m = t * t % p, m + 1
+        t = pow(y, 1 << (e - m - 1), p)
+        y, e = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
 
 
 @dataclass(frozen=True)

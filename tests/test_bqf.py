@@ -2,11 +2,12 @@
 narrow class group.
 
 The definite oracle is the a-outer window scan (a up to sqrt(|D|/3), b
-over (-a, a]) that the library once used; it shares no code with the
-library's b-outer divisor enumeration. The indefinite oracle scans the
-whole inequality window of 2|a| for each b. Equivalence for indefinite
-forms is cross-checked through the change-of-variables matrices that
-reduction reports.
+over (-a, a]) that the library once used. The indefinite oracle scans the
+whole inequality window of 2|a| for each b. The enumeration oracle is
+the b-first divisor enumeration the library used before it built b from
+the square roots of D mod 4a. None of them shares code with the
+library's enumeration. Equivalence for indefinite forms is cross-checked
+through the change-of-variables matrices that reduction reports.
 """
 
 import random
@@ -71,6 +72,28 @@ def oracle_indefinite_reduced(D):
             out.add((a, b, c))
             out.add((-a, b, -c))
     return out
+
+
+def oracle_b_first(D):
+    """The reduced forms the library enumerates, sorted, b-first: for each
+    b = D (mod 2), the a over the divisors of |b^2 - D|/4 up to its square
+    root. Every reduced form when D < 0; when D > 0 those with |a| <= |c|."""
+    forms = []
+    if D < 0:
+        for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+            num = (b * b - D) // 4
+            for a in [a for a in range(max(b, 1), isqrt(num) + 1) if num % a == 0]:
+                c = num // a
+                forms.append(Form(a, b, c))
+                if 0 < b < a < c:
+                    forms.append(Form(a, -b, c))
+    else:
+        s = isqrt(D)
+        for b in range(D % 2, s + 1, 2):
+            num = (D - b * b) // 4
+            for a in [a for a in range((s - b) // 2 + 1, isqrt(num) + 1) if num % a == 0]:
+                forms += (Form(a, b, -(num // a)), Form(-a, b, num // a))
+    return sorted(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +324,20 @@ def test_indefinite_reduced_forms_match_oracle():
         for f in cg.reps:
             reported |= set(map(tuple, reduction_cycle(f)))
         assert reported == oracle_indefinite_reduced(D), D
+
+
+def test_a_first_enumeration_matches_b_first():
+    # the 2-adic cases: D = 1 and 5 (mod 8), D = 4d with d = 2 and 3 (mod 4)
+    cases = {1: [-15, 17, -9999991, 1999441], 5: [-3, 5, -9999995, 9999997], 2: [-4735144, 8, 9999992], 3: [-4, 12, -237828, 9999996]}
+    for key, Ds in cases.items():
+        assert all((D % 8 if D % 2 else D // 4 % 4) == key for D in Ds), key
+    # the nine fields-large fields of seed 1 (D = 4d for the imaginary four)
+    fields = [-237828, -921572, -1856408, -4735144, 1795517, 1880933, 1999441, 2075713, 2184769]
+    small = fundamental_range(5000)
+    assert len(small) == 3040
+    for D in small + [D for Ds in cases.values() for D in Ds] + fields:
+        assert is_fundamental(D), D
+        assert bqf._enumerate_reduced(D) == oracle_b_first(D), D
 
 
 def test_group_axioms_on_table():

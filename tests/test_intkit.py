@@ -1,15 +1,15 @@
 """Tests for the integer foundations.
 
 Oracles used here are kept independent of the library code paths:
-recombination by direct multiplication and a from-scratch continued
-fraction stepper.
+recombination by direct multiplication, squares listed by brute force,
+and a from-scratch continued fraction stepper.
 """
 
 from math import isqrt
 
 import pytest
 
-from genuskit.intkit import cf_expand, factorize, is_prime
+from genuskit.intkit import _sqrt_mod_prime, cf_expand, factorize, is_prime
 
 
 def _sieve_set(limit):
@@ -97,6 +97,28 @@ def test_is_prime_against_sieve():
     primes = _sieve_set(20000)
     for n in range(20000):
         assert is_prime(n) == (n in primes), n
+
+
+# ---------------------------------------------------------------------------
+# square roots modulo a prime
+# ---------------------------------------------------------------------------
+
+
+def test_sqrt_mod_prime_against_brute_force():
+    # every odd prime below 500 includes p = 1 (mod 8), where the
+    # Tonelli-Shanks loop runs more than once (3 rounds for n = 9, p = 17;
+    # 7 for n = 9, p = 257)
+    primes = sorted(_sieve_set(500) - {2})
+    assert {p % 8 for p in primes} == {1, 3, 5, 7}
+    for p in primes:
+        squares = {x * x % p for x in range(p)}
+        for n in range(p):
+            for rep in (n, n - 7 * p, n + 3 * p):
+                r = _sqrt_mod_prime(rep, p)
+                if n in squares:
+                    assert r is not None and 0 <= r < p and r * r % p == n, (rep, p)
+                else:
+                    assert r is None, (rep, p)
 
 
 # ---------------------------------------------------------------------------
