@@ -34,6 +34,18 @@ set -e
 test "$q" -eq 2
 test "$n" -eq 2
 
+step "a command whose stdout reader has gone exits 141 with nothing on stderr"
+# the read end of the pipe is closed before the command starts: a shell
+# `| head` would race the command's write
+python -c '
+import os, shlex, subprocess, sys
+read_end, write_end = os.pipe()
+os.close(read_end)
+proc = subprocess.run(shlex.split(sys.argv[1]) + ["genus", "-d", "-5"], stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE)
+print("exit", proc.returncode, "stderr", proc.stderr)
+sys.exit(proc.returncode != 141 or proc.stderr != b"")
+' "$GK"
+
 step "a scan with two workers matches the serial scan byte for byte"
 $GK --json --workers 2 --cache a.jsonl scan -- -300 300 > a.out
 $GK --json --cache b.jsonl scan -- -300 300 > b.out

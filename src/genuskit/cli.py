@@ -3,7 +3,7 @@ result cache, the branch-configuration engine, the classical parity
 datasets, and the node-code searches.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error,
-3 resource bound exceeded.
+3 resource bound exceeded, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -302,42 +302,35 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+# Each returns (exit code, JSON data, text lines) and prints nothing; main
+# prints the data under --json and the lines otherwise.
 
 
-def _print_genus_text(record: dict) -> None:
+def cmd_genus(args) -> tuple[int, dict, list[str]]:
+    record = compute_record(args.d, args.bound)
     rep = record["genus_report"]
     cg = record["class_group"]
-    print(f"d = {rep['d']}   D = {rep['D']}   r = {rep['r']} ramified primes")
-    print(f"narrow class group: h+ = {cg['h_plus']}, invariant factors {cg['invariant_factors']}")
-    print(f"rank Cl+[2] = {rep['rank2']}  (r - 1 = {rep['r'] - 1})  gauss_holds: {rep['gauss_holds']}")
-    print(f"genus map kernel masks: {rep['kernel_masks']}  generator kind: {rep['kernel_generator_kind']}")
-    print(f"image equals full 2-torsion: {rep['image_is_two_torsion']}")
-    print(f"wide rank: {rep['wide_rank']}   support class principal: {rep['support_class_principal']}   norm -1 unit: {rep['norm_minus_one']}")
+    return 0, rep, [
+        f"d = {rep['d']}   D = {rep['D']}   r = {rep['r']} ramified primes",
+        f"narrow class group: h+ = {cg['h_plus']}, invariant factors {cg['invariant_factors']}",
+        f"rank Cl+[2] = {rep['rank2']}  (r - 1 = {rep['r'] - 1})  gauss_holds: {rep['gauss_holds']}",
+        f"genus map kernel masks: {rep['kernel_masks']}  generator kind: {rep['kernel_generator_kind']}",
+        f"image equals full 2-torsion: {rep['image_is_two_torsion']}",
+        f"wide rank: {rep['wide_rank']}   support class principal: {rep['support_class_principal']}   norm -1 unit: {rep['norm_minus_one']}",
+    ]
 
 
-def cmd_genus(args) -> int:
-    record = compute_record(args.d, args.bound)
-    if args.json:
-        print(_dump(record["genus_report"]))
-    else:
-        _print_genus_text(record)
-    return 0
-
-
-def cmd_classgroup(args) -> int:
+def cmd_classgroup(args) -> tuple[int, dict, list[str]]:
     cg = class_group(args.D, max_h=args.bound)
     data = cg.to_json_dict()
-    if args.json:
-        print(_dump(data))
-    else:
-        print(f"D = {data['D']}: h+ = {data['h_plus']}, invariant factors {data['invariant_factors']}")
-        for i, rep in enumerate(data["reps"]):
-            print(f"  [{i}] ({rep[0]}, {rep[1]}, {rep[2]})")
-        print(f"two-torsion basis indices: {data['two_torsion_basis']}")
-    return 0
+    lines = [f"D = {data['D']}: h+ = {data['h_plus']}, invariant factors {data['invariant_factors']}"]
+    for i, rep in enumerate(data["reps"]):
+        lines.append(f"  [{i}] ({rep[0]}, {rep[1]}, {rep[2]})")
+    lines.append(f"two-torsion basis indices: {data['two_torsion_basis']}")
+    return 0, data, lines
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[int, dict, list[str]]:
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     job = ScanJob(
         d_min=args.d_min,
@@ -349,23 +342,19 @@ def cmd_scan(args) -> int:
     )
     with closing(ResultCache(args.cache)) if args.cache else nullcontext() as cache:
         summary = run_scan(job, cache)
-    if args.json:
-        print(_dump(summary))
-    else:
-        print(f"scanned {summary['scanned']} squarefree d in [{summary['d_min']}, {summary['d_max']}], skipped {summary['skipped']}")
-        for check, c in summary["checks"].items():
-            print(f"  {check}: {c['pass']} pass, {c['fail']} fail, {c['not_applicable']} n/a")
-        for a in summary["anomalies"]:
-            print(f"  ANOMALY d={a['d']}: failed {a['failed']}")
-    return 1 if summary["anomalies"] else 0
+    lines = [f"scanned {summary['scanned']} squarefree d in [{summary['d_min']}, {summary['d_max']}], skipped {summary['skipped']}"]
+    for check, c in summary["checks"].items():
+        lines.append(f"  {check}: {c['pass']} pass, {c['fail']} fail, {c['not_applicable']} n/a")
+    for a in summary["anomalies"]:
+        lines.append(f"  ANOMALY d={a['d']}: failed {a['failed']}")
+    return (1 if summary["anomalies"] else 0), summary, lines
 
 
-def cmd_keylemma(args) -> int:
+def cmd_keylemma(args) -> tuple[int, dict, list[str]]:
     try:
         config = BranchConfiguration.from_json_dict(_load_json(Path(args.config_file).read_text()))
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot read branch configuration: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read branch configuration: {exc}") from exc
     reps = kernel_mod_e(config)
     result = {
         "kernel_basis_masks": reps,
@@ -373,13 +362,11 @@ def cmd_keylemma(args) -> int:
         "pic_two_rank": config.pic_two_rank,
         "two_torsion_rank": two_torsion_rank(config),
     }
-    if args.json:
-        print(_dump(result))
-    else:
-        print(f"quotient kernel rank: {result['quotient_rank']}")
-        print(f"two-torsion rank (including downstairs): {result['two_torsion_rank']}")
-        print(f"coset representative masks: {reps}")
-    return 0
+    return 0, result, [
+        f"quotient kernel rank: {result['quotient_rank']}",
+        f"two-torsion rank (including downstairs): {result['two_torsion_rank']}",
+        f"coset representative masks: {reps}",
+    ]
 
 
 def _parity_check(name: str, vector) -> dict:
@@ -392,7 +379,7 @@ def _parity_check(name: str, vector) -> dict:
     }
 
 
-def cmd_campedelli(args) -> int:
+def cmd_campedelli(args) -> tuple[int, dict, list[str]]:
     cam = dataset_campedelli()
     wer = dataset_werner()
     checks = [
@@ -401,16 +388,14 @@ def cmd_campedelli(args) -> int:
     ]
     all_pass = all(c["divisible_by_2"] for c in checks)
     out = {"basis": list(cam.basis), "checks": checks, "all_pass": all_pass}
-    if args.json:
-        print(_dump(out))
-    else:
-        for c in checks:
-            print(f"{c['name']}: divisible by 2: {c['divisible_by_2']}  half: {c['half']}")
-        print(f"all parity checks pass: {all_pass}")
-    return 0 if all_pass else 1
+    lines = []
+    for c in checks:
+        lines.append(f"{c['name']}: divisible by 2: {c['divisible_by_2']}  half: {c['half']}")
+    lines.append(f"all parity checks pass: {all_pass}")
+    return (0 if all_pass else 1), out, lines
 
 
-def cmd_werner(args) -> int:
+def cmd_werner(args) -> tuple[int, dict, list[str]]:
     wer = dataset_werner()
     parity = _parity_check("conic block Qt + Et1..4", wer.even_block)
     reps = kernel_mod_e(wer.config)
@@ -425,18 +410,17 @@ def cmd_werner(args) -> int:
         "lift": lift.expression if lift else None,
     }
     ok = parity["divisible_by_2"] and decomposition and len(reps) >= 1
-    if args.json:
-        print(_dump(out))
-    else:
-        print(f"parity check: {parity['divisible_by_2']}  half: {parity['half']}")
-        print(f"B + Q decomposes the degree-10 curve: {decomposition}")
-        print(f"cover 2-torsion rank: {out['two_torsion_rank']} (kernel masks {reps})")
-        if lift:
-            print(f"lift of the nontrivial class: {lift.expression}")
-    return 0 if ok else 1
+    lines = [
+        f"parity check: {parity['divisible_by_2']}  half: {parity['half']}",
+        f"B + Q decomposes the degree-10 curve: {decomposition}",
+        f"cover 2-torsion rank: {out['two_torsion_rank']} (kernel masks {reps})",
+    ]
+    if lift:
+        lines.append(f"lift of the nontrivial class: {lift.expression}")
+    return (0 if ok else 1), out, lines
 
 
-def cmd_nodecode(args) -> int:
+def cmd_nodecode(args) -> tuple[int, dict, list[str]]:
     _check_node_budget(args.node_budget)
     weights = frozenset(int(w) for w in args.weights.split(","))
     problem = WeightCodeProblem(args.n, args.k, weights)
@@ -453,19 +437,18 @@ def cmd_nodecode(args) -> int:
         "search_nodes": search.nodes,
         "witness": search.generator_bitstrings(),
     }
-    if args.json:
-        print(_dump(out))
-    else:
-        print(f"[{problem.n}, {problem.k}] with weights {sorted(problem.allowed)}: {search.verdict}")
-        print(f"MacWilliams filter: {len(filt)} feasible distribution(s) "
-              f"({'already conclusive' if not filt else 'not conclusive'}); search is authoritative")
-        if search.exists:
-            for row in out["witness"]:
-                print(f"  {row}")
-    return 0
+    lines = [
+        f"[{problem.n}, {problem.k}] with weights {sorted(problem.allowed)}: {search.verdict}",
+        f"MacWilliams filter: {len(filt)} feasible distribution(s) "
+        f"({'already conclusive' if not filt else 'not conclusive'}); search is authoritative",
+    ]
+    if search.exists:
+        for row in out["witness"]:
+            lines.append(f"  {row}")
+    return 0, out, lines
 
 
-def cmd_quintic(args) -> int:
+def cmd_quintic(args) -> tuple[int, dict, list[str]]:
     cert = quintic_certificate(
         b2=args.b2,
         nodes=args.nodes,
@@ -473,14 +456,12 @@ def cmd_quintic(args) -> int:
         second_even=args.second_even,
         node_budget=args.node_budget,
     )
-    if args.json:
-        print(_dump(cert.to_json_dict()))
-    else:
-        for step in cert.steps:
-            print(f"[{step.source}] {step.claim}")
-            print(f"    {step.arithmetic}")
-        print(f"verdict: {cert.verdict}")
-    return 0
+    lines = []
+    for step in cert.steps:
+        lines.append(f"[{step.source}] {step.claim}")
+        lines.append(f"    {step.arithmetic}")
+    lines.append(f"verdict: {cert.verdict}")
+    return 0, cert.to_json_dict(), lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -575,7 +556,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        return args.func(args)
+        code, data, lines = args.func(args)
+        print(_dump(data) if args.json else "\n".join(lines))
+        # a closed pipe fails this flush, not the one at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and point stdout at devnull so
+        # the flush at exit has nothing to report (the note on SIGPIPE in
+        # the signal module's docs); 141 = 128 + SIGPIPE, as a shell reports it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ResourceLimitError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3

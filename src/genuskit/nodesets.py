@@ -423,7 +423,9 @@ class _FailedStates:
     memo. A key is in the memo when ``_gl_map`` finds a change of basis
     that carries its state onto a stored state with the same invariant;
     the invariant alone selects the stored states to try, and never
-    decides.
+    decides. The stored state a lookup maps onto moves to the front of
+    its bucket, where the next lookup tries it first: siblings tend to
+    map onto the same state, and only the order of the tries changes.
     """
 
     def __init__(self):
@@ -436,7 +438,13 @@ class _FailedStates:
 
     def __contains__(self, key) -> bool:
         invariant, labels = key
-        return any(_gl_map(labels, other) is not None for other in self._states.get(invariant, ()))
+        bucket = self._states.get(invariant, ())
+        for i, other in enumerate(bucket):
+            if _gl_map(labels, other) is not None:
+                if i:
+                    bucket.insert(0, bucket.pop(i))
+                return True
+        return False
 
     def add(self, key) -> None:
         invariant, labels = key

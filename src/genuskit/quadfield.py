@@ -112,9 +112,11 @@ def fundamental_unit(field: QuadField) -> QuadUnit:
     # Q = 1, and P = 2 a0 - 1, the largest odd number <= s, for Q = 2
     P, Q = (s - (s + 1) % 2, 2) if d % 4 == 1 else (s, 1)
     cf = cf_expand(P, Q, d)
-    a11, a12, a21, a22 = 1, 0, 0, 1
+    # the bottom row of the product of the matrices [[a, 1], [1, 0]]: the
+    # unit reads only that row
+    a21, a22 = 0, 1
     for a in cf.period:
-        a11, a12, a21, a22 = a11 * a + a12, a11, a21 * a + a22, a21
+        a21, a22 = a21 * a + a22, a21
     # unit = a21 * (P + sqrt(d))/Q + a22, written as (x + y sqrt(d)) / 2
     x, y = 2 * (a21 * P + a22 * Q) // Q, 2 * a21 // Q
     if x % 2 == 0 and y % 2 == 0:

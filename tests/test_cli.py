@@ -3,9 +3,12 @@ codes, the scan harness, and cache coherence."""
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -600,6 +603,26 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["scan"])  # missing range arguments
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # the read end is closed before the command starts, so the first write
+    # fails whether stdout is buffered or not
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "genuskit.cli", "genus", "-d", "-5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -367,6 +367,30 @@ def test_memo_rejects_inequivalent_states_with_one_invariant():
         _check_map(image, moved, x_blocks)
 
 
+def test_memo_moves_the_matched_state_to_the_front():
+    rng = random.Random(83)
+    x_patterns, y_patterns = SAME_INVARIANT_INEQUIVALENT[0]
+    failed = _FailedStates()
+    x_key = failed.key([(p, 1) for p in x_patterns], 5)
+    y_key = failed.key([(p, 1) for p in y_patterns], 5)
+    failed.add(x_key)
+    failed.add(y_key)
+    bucket = failed._states[x_key[0]]
+    assert bucket == [x_key[1], y_key[1]]
+    # a moved copy of y maps onto the second stored state only
+    while True:
+        a = _linear_map([rng.randrange(1, 32) for _ in range(5)])
+        if len(set(a)) == 32:
+            break
+    moved_key = failed.key(_moved(rng, a, [(p, 1) for p in y_patterns]), 5)
+    assert moved_key[1] != y_key[1]
+    assert moved_key in failed
+    assert bucket == [y_key[1], x_key[1]]
+    # a hit at the front leaves the order as it is
+    assert moved_key in failed
+    assert bucket == [y_key[1], x_key[1]]
+
+
 # The perfbench ``codes`` pool: (n, k, allowed).
 CODES_POOL = [
     (32, 5, (16, 20, 32)), (17, 6, (4, 8, 12)), (17, 6, (4, 8, 14)), (18, 5, (6, 8, 14)),
