@@ -21,10 +21,12 @@ That is O(sqrt|D|) steps where listing divisors took O(|D|). For D > 0
 it lists only the forms with |a| <= |c|; each rho cycle holds at least
 one of them.
 
-One loop per sign reduces a form: ``reduce_with_transform`` runs it with
-``track=True`` to accumulate the SL2(Z) change of variables, and
-``_reduced``, behind ``ClassGroup.mul`` and ``class_index``, runs the
-same loop without it and multiplies no matrices.
+One loop per sign reduces a form and keeps no change of variables;
+``reduce``, ``compose``, ``ClassGroup.mul`` and ``class_index`` all run
+it. The hot paths (``_rho``, the rho cycle walk, reduction, composition
+and ``_enumerate_reduced``) build each form with
+``tuple.__new__(Form, (a, b, c))``: the same object as ``Form(a, b, c)``,
+without NamedTuple's generated Python-level ``__new__``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "is_fundamental",
     "principal_form",
     "reduce",
-    "reduce_with_transform",
     "reduction_cycle",
 ]
 
@@ -120,19 +121,9 @@ def _check_shape(f: Form) -> int:
     return D
 
 
-def _mat_mul(m, n):
-    return (
-        m[0] * n[0] + m[1] * n[2],
-        m[0] * n[1] + m[1] * n[3],
-        m[2] * n[0] + m[3] * n[2],
-        m[2] * n[1] + m[3] * n[3],
-    )
-
-
-def _reduce_definite(f: Form, track: bool = False):
-    """(reduced form, transform); the identity transform unless ``track``."""
+def _reduce_definite(f: Form) -> Form:
+    """The reduced form properly equivalent to the positive definite f."""
     a, b, c = f
-    m = (1, 0, 0, 1)
     for _ in range(_STEP_CAP):
         if b > a or b <= -a:
             # translate: b into (-a, a]
@@ -141,14 +132,10 @@ def _reduce_definite(f: Form, track: bool = False):
                 r -= 2 * a
             t = (r - b) // (2 * a)
             b, c = b + 2 * a * t, a * t * t + b * t + c
-            if track:
-                m = _mat_mul(m, (1, t, 0, 1))
         elif a > c or b < 0 and a == c:
             a, b, c = c, -b, a
-            if track:
-                m = _mat_mul(m, (0, -1, 1, 0))
         else:
-            return Form(a, b, c), m
+            return tuple.__new__(Form, (a, b, c))
     raise ArithmeticError("definite reduction did not terminate (bug)")
 
 
@@ -158,7 +145,7 @@ def _is_reduced_indef(f: Form, s: int) -> bool:
 
 
 def _rho(f: Form, D: int, s: int) -> Form:
-    """One step of the reduction operator, without its ``_rho_transform``."""
+    """One step of the reduction operator."""
     _, b, c = f
     ac = abs(c)
     if ac <= s:
@@ -168,71 +155,54 @@ def _rho(f: Form, D: int, s: int) -> Form:
         r = (-b) % (2 * ac)
         if r > ac:
             r -= 2 * ac
-    return Form(c, r, (r * r - D) // (4 * c))
+    return tuple.__new__(Form, (c, r, (r * r - D) // (4 * c)))
 
 
-def _rho_transform(f: Form, g: Form):
-    """The SL2(Z) matrix of the step from f to g = rho(f)."""
-    return (0, -1, 1, (f.b + g.b) // (2 * f.c))
-
-
-def _reduce_indef(f: Form, D: int, track: bool = False):
-    """(reduced form, transform); the identity transform unless ``track``."""
+def _reduce_indef(f: Form, D: int) -> Form:
+    """A reduced form properly equivalent to the indefinite f."""
     s = isqrt(D)
-    m = (1, 0, 0, 1)
     for _ in range(_STEP_CAP):
         if _is_reduced_indef(f, s):
-            return f, m
-        g = _rho(f, D, s)
-        if track:
-            m = _mat_mul(m, _rho_transform(f, g))
-        f = g
+            return f
+        f = _rho(f, D, s)
     raise ArithmeticError("indefinite reduction did not terminate (bug)")
 
 
-def _cycle_from(f: Form, D: int):
-    """The rho cycle through a reduced form, starting at f."""
+def _cycle_from(f: Form, D: int) -> list[Form]:
+    """The rho cycle through a reduced form, starting at f.
+
+    The walk runs on local integers and builds a Form only for the forms
+    it keeps. Each step is ``_rho``'s first branch, because a reduced form
+    has |c| <= isqrt(D), and each step's a is the c before it. Raises
+    ResourceLimitError when the cycle holds more than ``_STEP_CAP`` forms.
+    """
     s = isqrt(D)
+    a0, b0, c = f
+    b = b0
     cycle = [f]
-    g = _rho(f, D, s)
     for _ in range(_STEP_CAP):
-        if g == f:
+        a, b = c, s - (s + b) % (2 * abs(c))
+        c = (b * b - D) // (4 * a)
+        if a == a0 and b == b0:
             return cycle
-        if not _is_reduced_indef(g, s):
-            raise ArithmeticError(f"rho left the reduced cycle at {g} (bug)")
-        cycle.append(g)
-        g = _rho(g, D, s)
-    raise ArithmeticError("reduction cycle did not close (bug)")
+        if not (1 <= b <= s and s - b + 1 <= 2 * abs(a) <= s + b):
+            raise ArithmeticError(f"rho left the reduced cycle at ({a}, {b}, {c}) (bug)")
+        cycle.append(tuple.__new__(Form, (a, b, c)))
+    raise ResourceLimitError(f"the reduction cycle of D = {D} holds more than {_STEP_CAP} forms")
 
 
 def _reduced(f: Form, D: int) -> Form:
     """A reduced form properly equivalent to f (for D > 0 not necessarily
-    the canonical one), without validation or transform."""
-    return _reduce_definite(f)[0] if D < 0 else _reduce_indef(f, D)[0]
-
-
-def reduce_with_transform(f: Form) -> tuple[Form, tuple[int, int, int, int]]:
-    """Canonical reduced representative plus the SL2(Z) change of variables.
-
-    The returned matrix m = (m11, m12, m21, m22) has determinant +1 and
-    substituting it into f recovers the reduced form:
-    f(m11*x + m12*y, m21*x + m22*y) = reduced(x, y).
-    """
-    f = Form(*f)
-    D = _check_form(f)
-    if D < 0:
-        return _reduce_definite(f, track=True)
-    g, m = _reduce_indef(f, D, track=True)
-    # step round the cycle to its lexicographic minimum, accumulating transforms
-    cycle = _cycle_from(g, D)
-    k = cycle.index(min(cycle))
-    for x, y in zip(cycle[:k], cycle[1 : k + 1]):
-        m = _mat_mul(m, _rho_transform(x, y))
-    return cycle[k], m
+    the canonical one), without validation."""
+    return _reduce_definite(f) if D < 0 else _reduce_indef(f, D)
 
 
 def reduce(f: Form) -> Form:
-    """Canonical reduced representative of the proper equivalence class."""
+    """Canonical reduced representative of the proper equivalence class.
+
+    Raises ResourceLimitError, as ``reduction_cycle`` does, when D > 0
+    and the rho cycle holds more than ``_STEP_CAP`` (10^5) forms.
+    """
     return reduction_cycle(f)[0]
 
 
@@ -241,13 +211,15 @@ def reduction_cycle(f: Form) -> tuple[Form, ...]:
 
     For D < 0 this is a single form; for D > 0 it is the full rho cycle,
     rotated to start at the canonical (lexicographically minimal) form.
+    Raises ResourceLimitError when that cycle holds more than
+    ``_STEP_CAP`` (10^5) forms, which ``class_group``'s bound on |D|
+    never reaches.
     """
     f = Form(*f)
     D = _check_form(f)
     if D < 0:
-        return (_reduce_definite(f)[0],)
-    g, _ = _reduce_indef(f, D)
-    cycle = _cycle_from(g, D)
+        return (_reduce_definite(f),)
+    cycle = _cycle_from(_reduce_indef(f, D), D)
     k = cycle.index(min(cycle))
     return tuple(cycle[k:] + cycle[:k])
 
@@ -278,7 +250,7 @@ def _compose_raw(f: Form, g: Form, D: int) -> Form:
     b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
     b3 %= 2 * a3
     c3 = (b3 * b3 - D) // (4 * a3)
-    return Form(a3, b3, c3)
+    return tuple.__new__(Form, (a3, b3, c3))
 
 
 def compose(f: Form, g: Form) -> Form:
@@ -286,6 +258,8 @@ def compose(f: Form, g: Form) -> Form:
 
     f is checked in full; g then needs only the same discriminant and
     the shape checks, and the product of two valid forms is valid.
+    Raises ResourceLimitError when D > 0 and the product's rho cycle
+    holds more than ``_STEP_CAP`` (10^5) forms.
     """
     f, g = Form(*f), Form(*g)
     D = _check_form(f)

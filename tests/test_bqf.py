@@ -6,12 +6,15 @@ over (-a, a]) that the library once used. The indefinite oracle scans the
 whole inequality window of 2|a| for each b. The enumeration oracle is
 the b-first divisor enumeration the library used before it built b from
 the square roots of D mod 4a. None of them shares code with the
-library's enumeration. Equivalence for indefinite forms is cross-checked
-through the change-of-variables matrices that reduction reports.
+library's enumeration. Reduction is checked from outside: a canonical
+form carried by a random word of SL2(Z) generators, built here, must
+reduce back to itself. The Redei-matrix oracle reads the 4-rank of the
+class group off Kronecker symbols, with its own trial division and
+GF(2) rank, and composes nothing.
 """
 
 import random
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -24,7 +27,6 @@ from genuskit.bqf import (
     is_fundamental,
     principal_form,
     reduce,
-    reduce_with_transform,
     reduction_cycle,
 )
 from genuskit.errors import ResourceLimitError
@@ -96,6 +98,58 @@ def oracle_b_first(D):
     return sorted(forms)
 
 
+def _prime_discriminants(D):
+    """The prime discriminants whose product is the fundamental D, by trial
+    division: p* = +-p = 1 (mod 4) for each odd prime p | D, then the even
+    one (-4, 8 or -8), D over their product, when D is even."""
+    n, p, odd = abs(D), 3, []
+    while n % 2 == 0:
+        n //= 2
+    while p * p <= n:
+        if n % p == 0:
+            odd.append(p if p % 4 == 1 else -p)
+            n //= p
+        p += 2
+    if n > 1:
+        odd.append(n if n % 4 == 1 else -n)
+    even = D // prod(odd)
+    return odd + [even] * (even != 1)
+
+
+def _kronecker_is_minus_one(d, p):
+    """(d / p) = -1, for a prime p not dividing d."""
+    if p == 2:
+        return d % 8 in (3, 5)
+    return pow(d, (p - 1) // 2, p) == p - 1
+
+
+def _gf2_rank(rows):
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+def oracle_four_rank(D):
+    """The number of invariant factors of the narrow class group divisible
+    by 4, t - 1 - rank R, for D the product of t prime discriminants d_j
+    (Redei and Reichardt, 1934). R is Redei's matrix over GF(2): entry
+    (i, j), i != j, is 1 when (d_j / p_i) = -1, where p_i is the prime of
+    d_i, and the diagonal makes each row sum to 0."""
+    ds = _prime_discriminants(D)
+    rows = []
+    for i, di in enumerate(ds):
+        p = abs(di) if di % 2 else 2
+        row = sum(1 << j for j, dj in enumerate(ds) if j != i and _kronecker_is_minus_one(dj, p))
+        # the diagonal entry is the parity of the others
+        rows.append(row | bin(row).count("1") % 2 << i)
+    return len(ds) - 1 - _gf2_rank(rows)
+
+
 # ---------------------------------------------------------------------------
 # principal / reduce
 # ---------------------------------------------------------------------------
@@ -136,11 +190,12 @@ def test_reduce_idempotent_and_disc_preserved():
             assert reduce(g) == g
 
 
-def _random_form(rng, D, f=None):
-    # random primitive form of disc D via a random SL2 transform of f,
-    # by default the principal form
+def _random_form(rng, D, f=None, steps=6):
+    # f, by default the principal form, carried by a random word of
+    # ``steps`` SL2(Z) generators: T^t sends (a, b, c) to
+    # (a, b + 2at, at^2 + bt + c), and S sends it to (c, -b, a)
     f = f or principal_form(D)
-    for _ in range(6):
+    for _ in range(steps):
         t = rng.randint(-3, 3)
         a, b, c = f
         if rng.random() < 0.5:
@@ -150,18 +205,16 @@ def _random_form(rng, D, f=None):
     return f
 
 
-def test_reduce_transform_is_proper_equivalence():
+def test_reduce_returns_the_canonical_form():
+    # a class's canonical form, moved off it by 1-12 generators, reduces
+    # back to it: reduction stays in the class and lands on the canonical
+    # form (for D > 0 the cycle minimum; 2184769 has long rho cycles)
     rng = random.Random(11)
-    # 2184769 has long rho cycles, so the walk to the minimum takes many steps
-    for D in (-20, -84, -163, 12, 60, 316, 2184769):
-        for _ in range(15):
-            f = _random_form(rng, D)
-            g, (m11, m12, m21, m22) = reduce_with_transform(f)
-            assert m11 * m22 - m12 * m21 == 1
-            for x in range(-4, 5):
-                for y in range(-4, 5):
-                    u, v = m11 * x + m12 * y, m21 * x + m22 * y
-                    assert f.a * u * u + f.b * u * v + f.c * v * v == g.a * x * x + g.b * x * y + g.c * y * y
+    for D in (-20, -84, -163, -9999991, 12, 60, 316, 2184769):
+        for f in class_group(D).reps:
+            g = _random_form(rng, D, f, rng.randint(1, 12))
+            assert g.disc == D
+            assert reduce(g) == f, (g, f)
 
 
 def test_reduce_preserves_represented_integers_definite():
@@ -406,9 +459,22 @@ def test_group_structure_matches_cayley_table():
         assert tuple(sorted(span)) == two, D
 
 
+def test_four_rank_matches_redei_matrix():
+    # the 4-rank of the composed group against an oracle that never
+    # composes; -29523 has the group Z/4 x Z/8, 4-rank 2
+    Ds = fundamental_range(2999) + [-29523]
+    ranks = {}
+    for D in Ds:
+        four = sum(1 for n in class_group(D).invariant_factors if n % 4 == 0)
+        assert oracle_four_rank(D) == four, D
+        ranks[four] = ranks.get(four, 0) + 1
+    assert class_group(-29523).invariant_factors == (4, 8)
+    assert ranks == {0: 1422, 1: 397, 2: 2}
+
+
 def test_private_paths_match_public_ones():
     # class_group's recorded squares, the unchecked ambiguous-class lookup
-    # and the transform-free reduction, against the checked public paths
+    # and the unchecked reduction, against the checked public paths
     rng = random.Random(17)
     for D in fundamental_range(2000):
         cg = class_group(D)
@@ -482,6 +548,18 @@ def test_resource_bounds():
         class_group(-84, max_h=3)
     with pytest.raises(ResourceLimitError):
         class_group(-(10**7 + 4))
+
+
+# a prime whose principal rho cycle holds more than bqf._STEP_CAP forms
+LONG_CYCLE_D = 1000000000000037
+
+
+def test_long_reduction_cycle_is_a_resource_limit():
+    # a valid D past class_group's bound: a resource limit, not a bug
+    f = principal_form(LONG_CYCLE_D)
+    for call in (lambda: reduce(f), lambda: reduction_cycle(f), lambda: compose(f, f)):
+        with pytest.raises(ResourceLimitError, match=str(LONG_CYCLE_D)):
+            call()
 
 
 # the product of two 16-digit primes: factorising it takes seconds
