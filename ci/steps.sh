@@ -68,8 +68,9 @@ cmp c.warm c.cold
 cmp b.jsonl b.before
 
 step "a cache replay in dev mode leaves no file unclosed"
-# an unclosed file is reported on stderr, and the exit code stays 0
-python -X dev -W error::ResourceWarning -m genuskit.cli --json --cache b.jsonl scan -- -300 300 > g.out 2> g.err
+# an unclosed file is reported on stderr, and the exit code stays 0; the
+# variables reach the interpreter of $GK, a console script too
+PYTHONDEVMODE=1 PYTHONWARNINGS=error::ResourceWarning $GK --json --cache b.jsonl scan -- -300 300 > g.out 2> g.err
 cmp b.out g.out
 test ! -s g.err
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import comb
+from math import comb, gcd
+from operator import add, mul
 
 from .errors import ResourceLimitError, SearchBudgetExceeded
 
@@ -168,14 +169,23 @@ def feasible_distributions(problem: WeightCodeProblem) -> list[WeightDistributio
     """All weight distributions supported on the allowed weights whose
     MacWilliams dual is nonnegative and integral.
 
-    The enumeration covers every A with A_0 = 1 and the remaining
-    2^k - 1 nonzero words spread over the allowed weights. An empty
+    The candidates are every A with A_0 = 1 and the remaining 2^k - 1
+    nonzero words spread over the t allowed weights, listed in increasing
+    order of their counts. This is Delsarte's linear-programming bound in
+    exact integers (MacWilliams and Sloane, ch. 5 and 17). The counts of
+    all weights but the last two are enumerated, carrying each dual row's
+    running sum 2^k B_j; the last two, x and R - x, are solved for in
+    closed form. Each row bounds x on one side (B_j >= 0), and fixes it
+    modulo a power of 2 (2^k divides 2^k B_j); x walks the progression
+    those leave, ascending, and every distribution so found is checked
+    against every dual row, a failure being an ArithmeticError. An empty
     result certifies nonexistence on its own; a nonempty one decides
     nothing (the dual conditions are necessary, not sufficient).
     Raises ResourceLimitError, before any work, past n = ``DEFAULT_MAX_N``
     (40) or k = ``DEFAULT_MAX_K`` (8), as ``code_search`` does, and
     SearchBudgetExceeded past ``DEFAULT_FILTER_BUDGET`` (2,000,000)
-    candidate distributions.
+    candidates, comb(2^k + t - 2, t - 1), which it still counts whole
+    although most are never visited.
     """
     _check_size(problem)
     weights = sorted(problem.allowed)
@@ -196,23 +206,67 @@ def feasible_distributions(problem: WeightCodeProblem) -> list[WeightDistributio
     dual_rows = [(row[0], [row[w] for w in weights]) for row in K]
     out = []
 
-    def assign(idx: int, remaining: int, partial: list[int]):
-        if idx == t - 1:
-            amounts = partial + [remaining]
-            for base, coefficients in dual_rows:
-                s = base + sum([a * c for a, c in zip(amounts, coefficients)])
-                if s < 0 or s % scale:
-                    return
-            counts = [0] * (problem.n + 1)
-            counts[0] = 1
-            for w, a in zip(weights, amounts):
-                counts[w] = a
-            out.append(WeightDistribution(tuple(counts)))
+    def passes(amounts: list[int]) -> bool:
+        for base, coefficients in dual_rows:
+            s = base + sum(map(mul, amounts, coefficients))
+            if s < 0 or s % scale:
+                return False
+        return True
+
+    def record(amounts: list[int]):
+        counts = [0] * (problem.n + 1)
+        counts[0] = 1
+        for w, a in zip(weights, amounts):
+            counts[w] = a
+        out.append(WeightDistribution(tuple(counts)))
+
+    if t == 1:
+        if passes([m]):
+            record([m])
+        return out
+    # Row j with A = x on weights[-2] and R - x on weights[-1] reads
+    # e_j + x d_j, e_j its sum over the other weights plus R times its last
+    # coefficient. 2^k must divide it, which fixes x mod 2^k / gcd(d_j, 2^k).
+    # These moduli are powers of 2, so they nest: the rows go largest
+    # modulus first, and the first row's residue of x sets the walk.
+    def modulus(row):
+        return scale // gcd(row[1][-2] - row[1][-1], scale)
+
+    dual_rows.sort(key=modulus, reverse=True)
+    rows = [(c[-1], c[-2] - c[-1]) for _, c in dual_rows]
+    columns = [[c[i] for _, c in dual_rows] for i in range(t - 2)]
+    step = modulus(dual_rows[0])
+    g = scale // step
+    inverse = pow(rows[0][1] // g, -1, step)
+
+    def solve(sums: list[int], R: int, partial: list[int]):
+        lo, hi = 0, R
+        r = -((sums[0] + R * rows[0][0]) // g) * inverse % step
+        for e, (c, d) in zip(sums, rows):
+            e += R * c
+            if d > 0:
+                lo = max(lo, -(e // d))
+            elif d < 0:
+                hi = min(hi, e // -d)
+            elif e < 0:
+                return
+            if lo > hi or (e + r * d) % scale:
+                return
+        for x in range(lo + (r - lo) % step, hi + 1, step):
+            amounts = partial + [x, R - x]
+            if not passes(amounts):
+                raise ArithmeticError(f"weight counts {amounts} fail a dual row they were solved for (bug)")
+            record(amounts)
+
+    def assign(idx: int, remaining: int, partial: list[int], sums: list[int]):
+        if idx == t - 2:
+            solve(sums, remaining, partial)
             return
         for a in range(remaining + 1):
-            assign(idx + 1, remaining - a, partial + [a])
+            assign(idx + 1, remaining - a, partial + [a], sums)
+            sums = list(map(add, sums, columns[idx]))
 
-    assign(0, m, [])
+    assign(0, m, [], [base for base, _ in dual_rows])
     return out
 
 
@@ -257,6 +311,12 @@ def _odd_parities(half: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((s & q).bit_count() & 1 for s in range(half)) for q in range(half))
 
 
+@lru_cache(maxsize=None)
+def _split_steps(half: int) -> tuple[tuple[int, ...], ...]:
+    """[q][s] = -2 if s & q has odd parity, else 2, for q, s < half."""
+    return tuple(tuple(-2 if p else 2 for p in parities) for parities in _odd_parities(half))
+
+
 def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
     """Every new row for a search state, sorted: the tuples c of ones per
     block (0 <= c[j] <= size of block j, in block order) for which each
@@ -272,9 +332,13 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
     words "new row + 2^t + s", s < 2^t, have exact weights. The groups
     are split one at a time, and a partial row is pruned as soon as one
     of those words has no allowed weight of its parity within the range
-    the unsplit groups leave open. At level ``depth`` every group is one
-    block. ``tick`` is called with the number of rows found so far for
-    each row weight and each group split that survives pruning.
+    the unsplit groups leave open. Within one group's split, each further
+    one in child q moves every word's least weight by +2 or -2 at once
+    (``_split_steps``), and the test is one set disjointness against the
+    weights that have no allowed weight in reach, one set per range met
+    in the call. At level ``depth`` every group is one block. ``tick`` is
+    called with the number of rows found so far for each row weight and
+    each group split that survives pruning.
     """
     n = sum(size for _, size in blocks)
     # least[x]: the least allowed weight >= x of the same parity as x
@@ -286,6 +350,15 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
     for pat, size in blocks:
         for t in range(depth + 1):
             sizes[t][pat & ((1 << t) - 1)] += size
+    # bad[room]: the weights w with no allowed weight of w's parity in
+    # [w, w + room], filled as rooms are met
+    bad = {}
+
+    def bad_for(room):
+        if room not in bad:
+            bad[room] = {w for w in range(n + 1) if least[w] > w + room}
+        return bad[room]
+
     rows = []
 
     def level(t, count):
@@ -295,7 +368,7 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
             rows.append(tuple(count[pat] for pat, _ in blocks))
             return
         half = 1 << t
-        odd = _odd_parities(half)
+        odd, steps = _odd_parities(half), _split_steps(half)
         child = [0] * (2 * half)
         # low[s]: the least weight the word "new row + half + s" can take
         low = [0] * half
@@ -322,16 +395,20 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
                 level(t + 1, child)
                 return
             q, lo, hi = free[i]
-            par, room = odd[q], slack[i + 1]
+            blocked, step = bad_for(slack[i + 1]), steps[q]
+            # c0 = lo, then each c0 + 1 adds 2 to the words even on group q
+            # and takes 2 from the odd ones
+            rise = 2 * (hi - lo)
+            new = [w + rise * p for w, p in zip(low, odd[q])]
             for c0 in range(lo, hi + 1):
-                up, down = 2 * (c0 - lo), 2 * (hi - c0)
-                new = [w + (down if p else up) for w, p in zip(low, par)]
-                if all(least[w] <= w + room for w in new):
+                if c0 > lo:
+                    new = list(map(add, new, step))
+                if blocked.isdisjoint(new):
                     tick(len(rows))
                     child[q], child[q + half] = c0, count[q] - c0
                     split(i + 1, new)
 
-        if all(least[w] <= w + slack[0] for w in low):
+        if bad_for(slack[0]).isdisjoint(low):
             split(0, low)
 
     for weight in sorted(allowed):

@@ -2,6 +2,7 @@
 the narrow-to-wide quotient."""
 
 import json
+from math import isqrt
 
 import pytest
 
@@ -15,7 +16,7 @@ from genuskit.genus import (
     wide_two_torsion,
 )
 from genuskit.intkit import factorize
-from genuskit.quadfield import field_from_d, has_norm_minus_one
+from genuskit.quadfield import field_from_d, fundamental_unit, has_norm_minus_one
 
 
 def squarefree(lo, hi):
@@ -111,6 +112,44 @@ def test_wide_rank_drop_matches_norm():
         field, cg, report, wide = report_for_d(d)
         nmo = has_norm_minus_one(field)
         assert wide.support_is_principal == nmo, d
+
+
+def _predicted_kernel_mask(field):
+    """The nonzero kernel mask that the units predict (Hilbert's Satz 90,
+    *Zahlbericht*, 1897): for d < 0 the primes dividing d, whose product
+    (sqrt d) is principal, or e for d = -1, from the unit i; for a unit of
+    norm -1, e. Otherwise the fundamental unit is eps = a / a' with
+    a = 1 + eps, and the ambiguous ideal (a) has norm 2 + Tr(eps): the
+    mask is the ramified p with an odd exponent in it, and dividing those
+    p out leaves a square."""
+    e = (1 << field.r) - 1
+    if field.d == -1:
+        return e
+    if field.d < 0:
+        return sum(1 << i for i, p in enumerate(field.ramified) if field.d % p == 0)
+    unit = fundamental_unit(field)
+    if unit.norm == -1:
+        return e
+    rest = 2 + (unit.x if unit.halved else 2 * unit.x)
+    mask = 0
+    for i, p in enumerate(field.ramified):
+        while rest % p == 0:
+            rest //= p
+            mask ^= 1 << i
+    assert isqrt(rest) ** 2 == rest, field.d
+    return mask
+
+
+def test_kernel_predicted_by_fundamental_unit():
+    # the kernel comes from compositions in bqf, the prediction from the
+    # continued fraction of the unit in quadfield
+    neither = 0
+    for d in squarefree(-2999, 2999):
+        field, _, report, _ = report_for_d(d)
+        mask = _predicted_kernel_mask(field)
+        assert report.kernel_subsets == (0, mask), d
+        neither += mask not in ((1 << field.r) - 1, field.support_d_mask)
+    assert neither >= 1000
 
 
 def test_ambiguous_classes_need_matching_discriminants():

@@ -113,6 +113,49 @@ def test_feasible_empty_certifies_nonexistence():
     assert not whole_space_weights <= {1}
 
 
+def _compositions(total, parts):
+    """Every tuple of ``parts`` nonnegative integers with sum ``total``."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(a,) + rest for a in range(total + 1) for rest in _compositions(total - a, parts - 1)]
+
+
+def _feasible_by_brute_force(n, k, allowed):
+    """The counts of every distribution with A_0 = 1 and 2^k - 1 words on
+    the allowed weights whose 2^k B_j = sum_i A_i K_j(i) are nonnegative
+    multiples of 2^k, sorted; K_j(i) from the closed sum."""
+    weights = sorted(allowed)
+    K = [[_krawtchouk_sum(n, j, i) for i in range(n + 1)] for j in range(n + 1)]
+    out = []
+    for amounts in _compositions((1 << k) - 1, len(weights)):
+        counts = [1] + [0] * n
+        for w, a in zip(weights, amounts):
+            counts[w] = a
+        duals = (sum(a * K[j][i] for i, a in enumerate(counts) if a) for j in range(n + 1))
+        if all(s >= 0 and s % (1 << k) == 0 for s in duals):
+            out.append(tuple(counts))
+    return sorted(out)
+
+
+def test_feasible_matches_brute_force():
+    # the filter solves for the last two counts in closed form; every
+    # distribution, in order, must be the one a plain enumeration finds
+    rng = random.Random(89)
+    problems = [(32, 6, (16, 20, 32)), (32, 6, (16, 20))] + CODES_POOL
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        k = rng.randint(0, min(n, 4))
+        # even menus pass the filter more often
+        weights = range(2, n + 1, 2) if n > 1 and rng.random() < 0.5 else range(1, n + 1)
+        problems.append((n, k, rng.sample(weights, rng.randint(0, min(len(weights), 4)))))
+    nonempty = 0
+    for n, k, allowed in problems:
+        got = [f.counts for f in feasible_distributions(WeightCodeProblem(n, k, frozenset(allowed)))]
+        assert got == _feasible_by_brute_force(n, k, allowed), (n, k, sorted(allowed))
+        nonempty += bool(got)
+    assert nonempty >= 100
+
+
 def test_feasible_budget():
     # about 10^29 candidate distributions, past the budget of 2 * 10^6
     with pytest.raises(SearchBudgetExceeded) as exc:
@@ -217,7 +260,7 @@ def test_candidate_rows_match_brute_force():
     rng = random.Random(67)
     nonempty = 0
     for _ in range(400):
-        depth = rng.randint(0, 4)
+        depth = rng.randint(0, 5)
         n = rng.randint(1, 12)
         patterns = rng.sample(range(2**depth), rng.randint(1, min(n, 2**depth)))
         cuts = sorted(rng.sample(range(1, n), len(patterns) - 1))
