@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The command-line checks of the CI tests job: exit codes, byte-identical
-# scans and cache replays, and the time limits of two commands.
+# scans and cache replays, and the time limits of three commands.
 #
 # It runs the command named by $GENUSKIT (default: the installed console
 # script `genuskit`) in a fresh temporary directory, which it removes on
@@ -95,6 +95,13 @@ grep -q '^error:' deep.err
 step "the search decides [32, 6] with weights {16, 20} by exhaustion within a minute"
 timeout 60 $GK --json nodecode -n 32 -k 6 -w 16,20 > nodecode.out
 python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["search"] != "NONEXISTENT")' nodecode.out
+
+step "the search decides [20, 7] with weights {8, 12, 14} by exhaustion within a minute"
+# k = 7: the row enumeration's last level carries 32 lanes, and a
+# state's span weights 128 byte lanes; the MacWilliams filter leaves one
+# distribution, so only the search decides
+timeout 60 $GK --json nodecode -n 20 -k 7 -w 8,12,14 > nodecode7.out
+python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["search"] != "NONEXISTENT")' nodecode7.out
 
 step "an out-of-bound range exits 3 before any work, and a sign clips the range"
 set +e

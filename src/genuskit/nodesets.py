@@ -184,8 +184,9 @@ def feasible_distributions(problem: WeightCodeProblem) -> list[WeightDistributio
     Raises ResourceLimitError, before any work, past n = ``DEFAULT_MAX_N``
     (40) or k = ``DEFAULT_MAX_K`` (8), as ``code_search`` does, and
     SearchBudgetExceeded past ``DEFAULT_FILTER_BUDGET`` (2,000,000)
-    candidates, comb(2^k + t - 2, t - 1), which it still counts whole
-    although most are never visited.
+    candidates. For t >= 2 allowed weights these are the leaves the
+    enumeration visits, one per count of the first t - 2 weights,
+    comb(2^k + t - 3, t - 2); for t = 1 the one distribution.
     """
     _check_size(problem)
     weights = sorted(problem.allowed)
@@ -193,7 +194,7 @@ def feasible_distributions(problem: WeightCodeProblem) -> list[WeightDistributio
     t = len(weights)
     if t == 0:
         return [] if m else [WeightDistribution((1,) + (0,) * problem.n)]
-    n_candidates = comb(m + t - 1, t - 1)
+    n_candidates = comb(m + t - 2, t - 2) if t > 1 else 1
     if n_candidates > DEFAULT_FILTER_BUDGET:
         raise SearchBudgetExceeded(
             f"{n_candidates} candidate distributions exceed the budget {DEFAULT_FILTER_BUDGET}",
@@ -312,9 +313,20 @@ def _odd_parities(half: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _split_steps(half: int) -> tuple[tuple[int, ...], ...]:
-    """[q][s] = -2 if s & q has odd parity, else 2, for q, s < half."""
-    return tuple(tuple(-2 if p else 2 for p in parities) for parities in _odd_parities(half))
+def _odd_lanes(half: int, width: int) -> tuple[int, ...]:
+    """[q] = the int that holds 1 in lane s, the bits s * width up to
+    (s + 1) * width, if s & q has odd parity and 0 if not, for q, s < half."""
+    return tuple(sum(p << s * width for s, p in enumerate(parities)) for parities in _odd_parities(half))
+
+
+@lru_cache(maxsize=None)
+def _lane_masks(half: int, width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(ones, masks) for ``half`` lanes of ``width`` bits: ones holds 1 in
+    every lane, and masks[q] = (even, odd) fills with ones the lanes that
+    ``_odd_lanes(half, width)[q]`` leaves 0, resp. sets to 1."""
+    full = (1 << width) - 1
+    ones = ((1 << half * width) - 1) // full
+    return ones, tuple(((ones ^ odd) * full, odd * full) for odd in _odd_lanes(half, width))
 
 
 def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
@@ -332,15 +344,22 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
     words "new row + 2^t + s", s < 2^t, have exact weights. The groups
     are split one at a time, and a partial row is pruned as soon as one
     of those words has no allowed weight of its parity within the range
-    the unsplit groups leave open. Within one group's split, each further
-    one in child q moves every word's least weight by +2 or -2 at once
-    (``_split_steps``), and the test is one set disjointness against the
-    weights that have no allowed weight in reach, one set per range met
-    in the call. At level ``depth`` every group is one block. ``tick`` is
-    called with the number of rows found so far for each row weight and
-    each group split that survives pruning.
+    the unsplit groups leave open.
+
+    The least weights of those 2^t words are bit-sliced into one int:
+    lane s, n + 1 bits wide (``_lane_masks``), holds word s's least
+    weight w as its one set bit, 2^w. A group moves its even and its odd
+    words by two shifts under the group's lane masks, and each further
+    one in child q moves them by 2 and -2 at once. The test is one AND
+    with the weights that have no allowed weight in reach, a bit mask
+    copied into every lane, one per range met in the call. Every word's
+    least weight lies in 0..n, so no shift carries a bit out of its
+    lane. At level ``depth`` every group is one block. ``tick`` is called
+    with the number of rows found so far for each row weight and each
+    group split that survives pruning.
     """
     n = sum(size for _, size in blocks)
+    width = n + 1
     # least[x]: the least allowed weight >= x of the same parity as x
     least = [n + 1] * (n + 3)
     for x in range(n, -1, -1):
@@ -350,13 +369,14 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
     for pat, size in blocks:
         for t in range(depth + 1):
             sizes[t][pat & ((1 << t) - 1)] += size
-    # bad[room]: the weights w with no allowed weight of w's parity in
-    # [w, w + room], filled as rooms are met
+    # bad[room]: bit w set in every lane for the weights w with no allowed
+    # weight of w's parity in [w, w + room], filled as rooms are met
     bad = {}
 
     def bad_for(room):
         if room not in bad:
-            bad[room] = {w for w in range(n + 1) if least[w] > w + room}
+            bits = sum(1 << w for w in range(width) if least[w] > w + room)
+            bad[room] = bits * _lane_masks(1 << depth - 1, width)[0]
         return bad[room]
 
     rows = []
@@ -368,10 +388,9 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
             rows.append(tuple(count[pat] for pat, _ in blocks))
             return
         half = 1 << t
-        odd, steps = _odd_parities(half), _split_steps(half)
+        # low, lane s: the least weight the word "new row + half + s" can take
+        low, masks = _lane_masks(half, width)
         child = [0] * (2 * half)
-        # low[s]: the least weight the word "new row + half + s" can take
-        low = [0] * half
         free = []
         for q in range(half):
             if not sizes[t][q]:
@@ -384,7 +403,8 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
             if hi > lo:
                 free.append((q, lo, hi))
             even, uneven = 2 * lo + n1 - c, n0 + c - 2 * hi
-            low = [w + (uneven if p else even) for w, p in zip(low, odd[q])]
+            even_q, odd_q = masks[q]
+            low = ((low & even_q) << even) | ((low & odd_q) << uneven)
         # slack[i]: how far the unsplit groups free[i:] can raise any word
         slack = [0] * (len(free) + 1)
         for i in range(len(free) - 1, -1, -1):
@@ -395,20 +415,19 @@ def _candidate_rows(blocks, depth: int, allowed, tick) -> list[tuple[int, ...]]:
                 level(t + 1, child)
                 return
             q, lo, hi = free[i]
-            blocked, step = bad_for(slack[i + 1]), steps[q]
+            blocked, (even_q, odd_q) = bad_for(slack[i + 1]), masks[q]
             # c0 = lo, then each c0 + 1 adds 2 to the words even on group q
             # and takes 2 from the odd ones
-            rise = 2 * (hi - lo)
-            new = [w + rise * p for w, p in zip(low, odd[q])]
+            new = (low & even_q) | ((low & odd_q) << 2 * (hi - lo))
             for c0 in range(lo, hi + 1):
                 if c0 > lo:
-                    new = list(map(add, new, step))
-                if blocked.isdisjoint(new):
+                    new = ((new & even_q) << 2) | ((new & odd_q) >> 2)
+                if not new & blocked:
                     tick(len(rows))
                     child[q], child[q + half] = c0, count[q] - c0
                     split(i + 1, new)
 
-        if bad_for(slack[0]).isdisjoint(low):
+        if not low & bad_for(slack[0]):
             split(0, low)
 
     for weight in sorted(allowed):
@@ -431,17 +450,20 @@ def _orbit_labels(blocks, depth: int, ids: dict) -> tuple[tuple, tuple]:
     there is none. ``ids`` numbers the labels met so far and is extended
     here, so that equal labels are one small int: two states compare
     only under the same ``ids``.
+
+    The span weights are summed as byte lanes of one int, lane s holding
+    word s's weight (``_odd_lanes`` of width 8), and read back as bytes:
+    a weight is at most n <= ``DEFAULT_MAX_N`` (40), so no lane carries
+    into the next.
     """
-    odd = _odd_parities(1 << depth)
-    weights = [0] * (1 << depth)
-    for pat, size in blocks:
-        weights = [w + size * p for w, p in zip(weights, odd[pat])]
-    labels = [None] * (1 << depth)
+    words = 1 << depth
+    odd, lanes = _odd_parities(words), _odd_lanes(words, 8)
+    weights = sum(size * lanes[pat] for pat, size in blocks).to_bytes(words, "little")
+    labels = [None] * words
     for pat, size in blocks:
         label = (size, tuple(sorted(compress(weights, odd[pat]))))
         labels[pat] = ids.setdefault(label, len(ids))
-    weights.sort()
-    invariant = (tuple(weights), tuple(sorted(labels[pat] for pat, _ in blocks)))
+    invariant = (tuple(sorted(weights)), tuple(sorted(labels[pat] for pat, _ in blocks)))
     return invariant, tuple(labels)
 
 

@@ -157,10 +157,14 @@ def test_feasible_matches_brute_force():
 
 
 def test_feasible_budget():
-    # about 10^29 candidate distributions, past the budget of 2 * 10^6
+    # the budget counts the leaves visited, one per count of the first
+    # t - 2 weights: about 6 * 10^27 here, past the budget of 2 * 10^6
     with pytest.raises(SearchBudgetExceeded) as exc:
         feasible_distributions(WeightCodeProblem(20, 8, frozenset(range(1, 21))))
-    assert exc.value.checkpoint == {"candidates": comb(255 + 19, 19), "budget": 2_000_000}
+    assert exc.value.checkpoint == {"candidates": comb(255 + 18, 18), "budget": 2_000_000}
+    # 32,896 leaves, although 2,829,056 distributions spread 255 words
+    # over the four weights
+    assert len(feasible_distributions(WeightCodeProblem(24, 8, frozenset({8, 12, 16, 24})))) == 50
 
 
 def test_feasible_size_bounds():
@@ -256,21 +260,43 @@ def _rows_by_brute_force(blocks, depth, allowed):
     return rows
 
 
+def _sized_blocks(rng, patterns, n):
+    """Blocks on the given distinct patterns, with random sizes summing to n."""
+    cuts = sorted(rng.sample(range(1, n), len(patterns) - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return tuple(zip(patterns, sizes))
+
+
 def test_candidate_rows_match_brute_force():
     rng = random.Random(67)
-    nonempty = 0
+    cases = []
     for _ in range(400):
         depth = rng.randint(0, 5)
         n = rng.randint(1, 12)
-        patterns = rng.sample(range(2**depth), rng.randint(1, min(n, 2**depth)))
-        cuts = sorted(rng.sample(range(1, n), len(patterns) - 1))
-        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
-        blocks = tuple(zip(patterns, sizes))
-        allowed = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        blocks = _sized_blocks(rng, rng.sample(range(2**depth), rng.randint(1, min(n, 2**depth))), n)
+        cases.append((blocks, depth, frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))))
+    # long rows in deep states: up to 64 lanes of up to 41 bits, and menus
+    # with the weight n, the top bit of a lane. The patterns lie in the
+    # span of two, so that a word "new row + S" can be all ones without
+    # another being zero; few blocks keep the brute force cheap
+    for _ in range(60):
+        depth, n = rng.randint(6, 7), rng.randint(30, 40)
+        a, b = rng.sample(range(1, 2**depth), 2)
+        blocks = _sized_blocks(rng, rng.sample([0, a, b, a ^ b], rng.randint(1, 3)), n)
+        cases.append((blocks, depth, frozenset(rng.sample(range(1, n), rng.randint(n // 2, n - 1))) | {n}))
+    nonempty = full_words = 0
+    for blocks, depth, allowed in cases:
         expected = _rows_by_brute_force(blocks, depth, allowed)
         assert _candidate_rows(blocks, depth, allowed, lambda found: None) == expected, (blocks, depth, sorted(allowed))
         nonempty += bool(expected)
-    assert nonempty >= 100
+        # a word "new row + S", S != 0, of weight n: the row is 0 on the
+        # blocks where S is odd and full on the others
+        odd_on = {tuple((s & pat).bit_count() & 1 for pat, _ in blocks) for s in range(1, 2**depth)}
+        full_words += any(
+            all(c in (0, size) for (_, size), c in zip(blocks, row)) and tuple(int(c == 0) for c in row) in odd_on
+            for row in expected
+        )
+    assert nonempty >= 250 and full_words >= 50
 
 
 def test_weight_closure_identity():
@@ -347,6 +373,23 @@ def test_gl_map_matches_brute_force():
                 found += image is not None
                 rejected += image is None
     assert found >= 600 and rejected >= 500
+
+
+def test_orbit_labels_match_plain_span_weights():
+    # the byte-lane sums against one plain sum per span word, up to 256
+    # words and the largest n
+    rng = random.Random(97)
+    for _ in range(90):
+        depth, n = rng.randint(0, 8), 40
+        blocks = _sized_blocks(rng, rng.sample(range(2**depth), rng.randint(1, min(n, 2**depth))), n)
+        weights = [sum(size for pat, size in blocks if (s & pat).bit_count() & 1) for s in range(2**depth)]
+        ids = {}
+        invariant, labels = _orbit_labels(blocks, depth, ids)
+        assert list(invariant[0]) == sorted(weights), (blocks, depth)
+        label_of = {i: label for label, i in ids.items()}
+        for pat, size in blocks:
+            odd_weights = sorted(w for s, w in enumerate(weights) if (s & pat).bit_count() & 1)
+            assert label_of[labels[pat]] == (size, tuple(odd_weights)), (blocks, depth, pat)
 
 
 def _maps_onto(x_patterns, y_patterns, depth):
