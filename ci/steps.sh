@@ -25,6 +25,12 @@ step "the console script runs genus and classgroup"
 $GK genus -d -5 --json
 $GK classgroup -D -84 --json
 
+step "genus reports rank 6 and the Gauss identity for d = -510510 and 510510 (r = 7, 128 genus images)"
+for d in -510510 510510; do
+    $GK --json genus -d "$d" > genus.out
+    python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r["rank2"] != 6 or r["gauss_holds"] is not True)' genus.out
+done
+
 step "a negative node budget is a usage error (exit 2) in both commands"
 set +e
 $GK quintic --nodes 31 --node-budget -1; q=$?

@@ -32,7 +32,7 @@ without NamedTuple's generated Python-level ``__new__``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -385,6 +385,9 @@ class ClassGroup:
     trivial group, and are read off the class orders. ``_orders`` and
     ``_squares`` keep each class's order and the index of its square,
     read off the cyclic walks; ``two_torsion`` reads the orders.
+    ``_span[mask]`` is the product of the ``two_torsion_basis`` classes
+    that the bits of mask select, so a class of order at most 2 has its
+    GF(2) coordinates in the basis at its position in ``_span``.
     """
 
     D: int
@@ -396,6 +399,7 @@ class ClassGroup:
     _index: dict = field(compare=False, repr=False)
     _orders: tuple[int, ...] = field(compare=False, repr=False)
     _squares: tuple[int, ...] = field(compare=False, repr=False)
+    _span: tuple[int, ...] = field(compare=False, repr=False)
 
     def _lookup(self, f: Form) -> int:
         """Index of the class of a primitive form of disc D, unchecked."""
@@ -411,24 +415,6 @@ class ClassGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self._lookup(_compose_raw(self.reps[i], self.reps[j], self.D))
-
-    def _powers(self, i: int) -> list[int]:
-        """[i, i^2, ..., identity]: the walk around the cyclic subgroup of
-        class i, one composition per step; its length is the order of i."""
-        walk = [i]
-        for _ in range(self.h_plus):
-            if walk[-1] == self.identity:
-                return walk
-            walk.append(self.mul(walk[-1], i))
-        raise ArithmeticError(f"class {i} has no order dividing h+ = {self.h_plus} (bug)")
-
-    def subset_products(self, gens) -> tuple[int, ...]:
-        """Product of every subset of ``gens``, indexed by bitmask (bit i
-        selects gens[i]), built with 2^k - 1 compositions."""
-        out = [self.identity]
-        for g in gens:
-            out += [self.mul(x, g) for x in out]
-        return tuple(out)
 
     def two_torsion(self) -> tuple[int, ...]:
         """Indices of all classes of order at most 2 (identity included), ascending."""
@@ -470,18 +456,34 @@ def _invariant_factors(orders) -> tuple[int, ...]:
     return tuple(reversed(factors))
 
 
-def _two_torsion_basis(cg: ClassGroup, orders) -> tuple[int, ...]:
+def _inverses(D: int, reps, index: dict) -> list[int]:
+    """The index of each class's inverse, looked up with no composition.
+
+    For D < 0 the inverse of the reduced (a, b, c) is (a, -b, c), which is
+    the same class when it is not reduced (b = 0, b = a or a = c). For
+    D > 0 it is the class of (c, b, a): S takes (a, -b, c) to it, and it
+    is reduced as (a, b, c) is, the reduced condition being symmetric in
+    |a| and |c|, so it lies on the inverse's cycle.
+    """
+    if D < 0:
+        return [i if b == 0 or b == a or a == c else index[(a, -b, c)] for i, (a, b, c) in enumerate(reps)]
+    return [index[(c, b, a)] for a, b, c in reps]
+
+
+def _two_torsion_basis(mul, identity: int, orders) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The classes of order 2 not in the span of those before them, in
-    index order. Each adds one coset to the span: 2^k - 1 compositions."""
+    index order, and their span as ``span[mask]``: the product of the
+    basis classes that the bits of mask select (bit i selects basis[i]).
+    Each basis class adds one coset to the span: 2^k - 1 compositions."""
     basis: list[int] = []
-    span = [cg.identity]
-    for x in range(cg.h_plus):
-        if orders[x] == 2 and x not in span:
+    span = [identity]
+    for x, o in enumerate(orders):
+        if o == 2 and x not in span:
             basis.append(x)
-            span += [cg.mul(y, x) for y in span]
+            span += [mul(y, x) for y in span]
     if sorted(span) != [x for x, o in enumerate(orders) if o <= 2]:
         raise ArithmeticError("2-torsion basis does not span the classes of order <= 2 (bug)")
-    return tuple(basis)
+    return tuple(basis), tuple(span)
 
 
 def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
@@ -491,8 +493,10 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
     mod 4a: every reduced form when D < 0, and when D > 0 the reduced
     forms with |a| <= |c|, which seed the rho cycles that make up the
     classes. Every class order is read off one walk per cyclic subgroup
-    (one composition per step) and kept on the group, and the invariant
-    factors are read off those orders: h is not factorised. Raises
+    and kept on the group, and the invariant factors are read off those
+    orders: h is not factorised. A walk x, x^2, ... composes only until
+    it meets the inverse of its last power; the rest of it is the
+    inverses of the powers before, each one lookup. Raises
     ResourceLimitError when |D| exceeds ``DEFAULT_MAX_DISC`` (10^7) or the
     class number exceeds ``max_h``; |D| is checked before D is
     factorised, so that error wins over ValueError for an invalid D. A
@@ -503,33 +507,52 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
     _require_within(D)  # first: the fundamental check factorises D
     _require_fundamental(D)
 
-    classes: list[list[Form]] = []
+    # canonical representative = lex-min of the class; classes in its order
     if D < 0:
-        classes = [[f] for f in _enumerate_reduced(D)]
+        # one reduced form per class, already sorted
+        reps = tuple(_enumerate_reduced(D))
+        index = {f: i for i, f in enumerate(reps)}
     else:
+        classes: list[list[Form]] = []
         seen: set[Form] = set()
         for f in _enumerate_reduced(D):
             if f not in seen:
                 classes.append(_cycle_from(f, D))
                 seen.update(classes[-1])
-    h = len(classes)
+        classes.sort(key=min)
+        reps = tuple(map(min, classes))
+        index = {g: i for i, cyc in enumerate(classes) for g in cyc}
+    h = len(reps)
     if h > max_h:
         raise ResourceLimitError(f"h+ = {h} exceeds the bound {max_h}")
-
-    # canonical representative = lex-min of the class; classes in its order
-    classes.sort(key=min)
-    reps = tuple(map(min, classes))
-    index = {g: i for i, cyc in enumerate(classes) for g in cyc}
-
     identity = index[_reduced(_principal_form(D), D)]
-    # the structure is read from the group itself, then filled in
-    cg = ClassGroup(D=D, reps=reps, h_plus=h, invariant_factors=(), two_torsion_basis=(), identity=identity, _index=index, _orders=(), _squares=())
+    inverse = _inverses(D, reps, index)
+
+    def mul(i: int, j: int) -> int:
+        return index[_reduced(_compose_raw(reps[i], reps[j], D), D)]
+
+    def powers(x: int) -> list[int]:
+        """[x, x^2, ..., identity]: its length is the order of x. Composing
+        stops at the first x^j whose inverse is x^j (order 2j) or x^(j-1)
+        (order 2j - 1)."""
+        walk = [x]
+        for _ in range(h):
+            y = walk[-1]
+            if y == identity:
+                return walk
+            z = inverse[y]
+            if z == y or len(walk) > 1 and z == walk[-2]:
+                half = walk[:-1] if z == y else walk[:-2]
+                return walk + [inverse[w] for w in reversed(half)] + [identity]
+            walk.append(mul(y, x))
+        raise ArithmeticError(f"class {x} has no order dividing h+ = {h} (bug)")
+
     # walk from each class no walk has reached yet: in a walk of o steps,
     # x^j has order o / gcd(j, o) and its square x^(2j mod o) is on the walk
     orders, squares = [0] * h, [0] * h
     for x in range(h):
         if not orders[x]:
-            walk = cg._powers(x)
+            walk = powers(x)
             o = len(walk)
             for j, y in enumerate(walk, 1):
                 orders[y] = o // gcd(j, o)
@@ -537,8 +560,9 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
     factors = _invariant_factors(orders)
     if prod(factors) != h:
         raise ArithmeticError("invariant factors do not multiply to h (bug)")
-    basis = _two_torsion_basis(cg, orders)
+    basis, span = _two_torsion_basis(mul, identity, orders)
     if len(basis) != sum(1 for n in factors if n % 2 == 0):
         raise ArithmeticError("2-torsion basis size disagrees with invariant factors (bug)")
 
-    return replace(cg, invariant_factors=factors, two_torsion_basis=basis, _orders=tuple(orders), _squares=tuple(squares))
+    return ClassGroup(D=D, reps=reps, h_plus=h, invariant_factors=factors, two_torsion_basis=basis, identity=identity,
+                      _index=index, _orders=tuple(orders), _squares=tuple(squares), _span=span)

@@ -85,10 +85,9 @@ def genus_map(field: QuadField, mask: int, cg: ClassGroup) -> int:
 def genus_map_kernel(cg: ClassGroup, images: tuple[int, ...]) -> tuple[int, ...]:
     """All subset masks whose genus image is principal.
 
-    ``images`` are the genus images of every mask, indexed by mask as
-    ``cg.subset_products(ambiguous_class_indices(field, cg))`` builds
-    them. Always contains the empty mask; checked to be closed under
-    symmetric difference before returning.
+    ``images`` are the genus images of every mask, indexed by mask, as
+    ``report_for_d`` builds them. Always contains the empty mask; checked
+    to be closed under symmetric difference before returning.
     """
     kernel = tuple(m for m, x in enumerate(images) if x == cg.identity)
     kset = set(kernel)
@@ -117,10 +116,10 @@ def verify_gauss(field: QuadField, cg: ClassGroup, images: tuple[int, ...]) -> G
     """Check rank Cl+[2] = r - 1 and the exactness of the genus map, on
     the class group ``cg`` of the field's discriminant.
 
-    ``images`` are the genus images of every subset mask, as
-    ``cg.subset_products(ambiguous_class_indices(field, cg))`` builds
-    them. rank_two_torsion comes from the invariant factors; the image is
-    compared against the full 2-torsion subgroup element by element.
+    ``images`` are the genus images of every subset mask, indexed by
+    mask, as ``report_for_d`` builds them. rank_two_torsion comes from
+    the invariant factors; the image is compared against the full
+    2-torsion subgroup element by element.
     """
     rank = cg.two_torsion_rank
     kernel = genus_map_kernel(cg, images)
@@ -179,6 +178,21 @@ def genus_report_json(field: QuadField, report: GenusReport, wide: WideReport) -
     }
 
 
+def _genus_images(field: QuadField, cg: ClassGroup) -> tuple[int, ...]:
+    """The genus image of every subset mask, indexed by mask, without a
+    composition: each ambiguous class has its GF(2) coordinates in the
+    2-torsion basis, its position in ``cg._span``, and the image of a
+    subset is the class at the XOR of its primes' coordinates."""
+    position = {x: m for m, x in enumerate(cg._span)}
+    masks = [0]
+    for x in ambiguous_class_indices(field, cg):
+        if x not in position:
+            raise ArithmeticError(f"ambiguous class {x} of D = {cg.D} is outside the 2-torsion span (bug)")
+        m = position[x]
+        masks += [y ^ m for y in masks]
+    return tuple(cg._span[m] for m in masks)
+
+
 def report_for_d(d: int, *, max_h: int = DEFAULT_MAX_H) -> tuple[QuadField, ClassGroup, GenusReport, WideReport]:
     """Convenience bundle used by the CLI and the scan harness, and the
     one place that builds the class group for a genus report.
@@ -189,5 +203,5 @@ def report_for_d(d: int, *, max_h: int = DEFAULT_MAX_H) -> tuple[QuadField, Clas
     _require_within(_discriminant(d))
     field = field_from_d(d)
     cg = class_group(field.D, max_h=max_h)
-    images = cg.subset_products(ambiguous_class_indices(field, cg))
+    images = _genus_images(field, cg)
     return field, cg, verify_gauss(field, cg, images), wide_two_torsion(field, cg, images)

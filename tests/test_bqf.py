@@ -205,12 +205,16 @@ def _random_form(rng, D, f=None, steps=6):
     return f
 
 
+# small groups, -9999991 (h+ = 1715) and 2184769, which has long rho cycles
+CANONICAL_GROUPS = (-20, -84, -163, -9999991, 12, 60, 316, 2184769)
+
+
 def test_reduce_returns_the_canonical_form():
     # a class's canonical form, moved off it by 1-12 generators, reduces
     # back to it: reduction stays in the class and lands on the canonical
-    # form (for D > 0 the cycle minimum; 2184769 has long rho cycles)
+    # form (for D > 0 the cycle minimum)
     rng = random.Random(11)
-    for D in (-20, -84, -163, -9999991, 12, 60, 316, 2184769):
+    for D in CANONICAL_GROUPS:
         for f in class_group(D).reps:
             g = _random_form(rng, D, f, rng.randint(1, 12))
             assert g.disc == D
@@ -484,6 +488,32 @@ def test_private_paths_match_public_ones():
         for _ in range(4):
             f = _random_form(rng, D, rng.choice(cg.reps))
             assert bqf._reduced(f, D) in reduction_cycle(f), (f, D)
+
+
+def test_inverse_lookup_composes_to_the_identity():
+    # class_group's inverses are lookups, with no composition; each class
+    # composed with its inverse by the public compose is principal
+    for D in (*fundamental_range(2999), *CANONICAL_GROUPS):
+        cg = class_group(D)
+        one = reduce(principal_form(D))
+        for f, i in zip(cg.reps, bqf._inverses(D, cg.reps, cg._index)):
+            assert compose(f, cg.reps[i]) == one, (f, D)
+
+
+def test_compositions_over_a_scan_are_pinned(monkeypatch):
+    # the half walks and the genus images read off 2-torsion coordinates
+    # make 27,029 compositions over these records; one composition per
+    # walk step and per genus image made 73,284
+    from genuskit.cli import compute_record
+
+    calls = []
+    raw = bqf._compose_raw
+    monkeypatch.setattr(bqf, "_compose_raw", lambda f, g, D: calls.append(D) or raw(f, g, D))
+    fields = [d for d in range(-2500, 2501) if d not in (0, 1) and factorize(d).is_squarefree]
+    assert len(fields) == 3045
+    for d in fields:
+        compute_record(d)
+    assert len(calls) <= 30_000
 
 
 def test_class_index_rejects_invalid_forms():

@@ -2,11 +2,13 @@
 the narrow-to-wide quotient."""
 
 import json
+from dataclasses import replace
 from math import isqrt
 
 import pytest
 
-from genuskit.bqf import Form, class_group
+from genuskit import genus
+from genuskit.bqf import Form, ambiguous_form, class_group, compose, principal_form, reduce
 from genuskit.genus import (
     ambiguous_class_indices,
     genus_map,
@@ -23,8 +25,13 @@ def squarefree(lo, hi):
     return [d for d in range(lo, hi + 1) if d not in (0, 1) and factorize(d).is_squarefree]
 
 
+def genus_images(field, cg):
+    # every subset's image from the public genus_map, one mask at a time
+    return tuple(genus_map(field, m, cg) for m in range(1 << field.r))
+
+
 def wide_report(field, cg):
-    return wide_two_torsion(field, cg, cg.subset_products(ambiguous_class_indices(field, cg)))
+    return wide_two_torsion(field, cg, genus_images(field, cg))
 
 
 def test_genus_map_examples_d_minus5():
@@ -52,7 +59,7 @@ def test_kernel_examples():
     for d, kernel in ((3, (0, 0b11)), (-1, (0, 1)), (-5, (0, 0b10))):  # R = (2, 3), (2,), (2, 5)
         field = field_from_d(d)
         cg = class_group(field.D)
-        assert genus_map_kernel(cg, cg.subset_products(ambiguous_class_indices(field, cg))) == kernel, d
+        assert genus_map_kernel(cg, genus_images(field, cg)) == kernel, d
 
 
 def test_kernel_generator_kinds():
@@ -150,6 +157,28 @@ def test_kernel_predicted_by_fundamental_unit():
         assert report.kernel_subsets == (0, mask), d
         neither += mask not in ((1 << field.r) - 1, field.support_d_mask)
     assert neither >= 1000
+
+
+def test_xor_images_match_composed_products():
+    # the genus images read off 2-torsion coordinates, against each
+    # subset's product of ramified prime forms by the public compose; the
+    # last three fields have r = 7 and 128 images
+    for d in (*squarefree(-2999, 2999), -510510, 510510, 4849845):
+        field = field_from_d(d)
+        products = [reduce(principal_form(field.D))]
+        for p in field.ramified:
+            f = ambiguous_form(p, field.D)
+            products += [compose(g, f) for g in products]
+        cg = class_group(field.D)
+        assert [cg.reps[x] for x in genus._genus_images(field, cg)] == products, d
+        assert abs(d) < 3000 or len(products) == 128, d
+
+
+def test_ambiguous_class_outside_the_span_is_a_bug():
+    field = field_from_d(-5)
+    cg = class_group(field.D)
+    with pytest.raises(ArithmeticError, match=r"\(bug\)"):
+        genus._genus_images(field, replace(cg, _span=(cg.identity,)))
 
 
 def test_ambiguous_classes_need_matching_discriminants():
