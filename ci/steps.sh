@@ -31,6 +31,14 @@ for d in -510510 510510; do
     python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r["rank2"] != 6 or r["gauss_holds"] is not True)' genus.out
 done
 
+step "classgroup reports h+ = 83 for D = 2184769, and genus a norm -1 unit and the Gauss identity for d = 1999441"
+# real fields near 2e6, whose class groups are walked cycle by cycle on
+# their seeds; 1999441 has a unit of norm -1, so each class is its negation
+$GK --json classgroup -D 2184769 > classgroup.out
+python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["h_plus"] != 83)' classgroup.out
+$GK --json genus -d 1999441 > genus.out
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r["gauss_holds"] is not True or r["norm_minus_one"] is not True)' genus.out
+
 step "a negative node budget is a usage error (exit 2) in both commands"
 set +e
 $GK quintic --nodes 31 --node-budget -1; q=$?
@@ -80,11 +88,14 @@ PYTHONDEVMODE=1 PYTHONWARNINGS=error::ResourceWarning $GK --json --cache b.jsonl
 cmp b.out g.out
 test ! -s g.err
 
-step "a scan with an undecodable cache line, a newest line with a non-bool check field, a 5000-digit key or a line nested too deep matches the cold scan"
+step "a scan with an undecodable cache line, a newest line with a non-bool check field or another field's record, a 5000-digit key or a line nested too deep matches the cold scan"
 cp b.jsonl d.jsonl
 printf '\xff\n' >> d.jsonl
 grep '^{"key": -20, ' b.jsonl | sed 's/"gauss_holds": true/"gauss_holds": 0/' >> d.jsonl
 grep -q '^{"key": -20, .*"gauss_holds": 0' d.jsonl
+# d = -6's record (D = -24) filed under d = -5's key, failing its check
+grep '^{"key": -24, ' b.jsonl | sed 's/^{"key": -24, /{"key": -20, /; s/"gauss_holds": true/"gauss_holds": false/' >> d.jsonl
+grep -q '^{"key": -20, .*"D": -24, .*"gauss_holds": false' d.jsonl
 python -c 'print("{\"key\": " + "1" * 5000 + ", \"version\": \"1\"}")' >> d.jsonl
 python -c 'print("{\"key\": -20, \"version\": \"1\", \"value\": " + "[" * 100000 + "]" * 100000 + "}")' >> d.jsonl
 $GK --json --cache d.jsonl scan -- -300 300 > d.out

@@ -18,8 +18,19 @@ sqrt(|D|/3) (D < 0) or sqrt(D)/2 (D > 0), the b with b^2 = D (mod 4a)
 come from the square roots of D mod the prime powers of a, one b per
 residue mod 2a in the reduction window (Cohen, GTM 138, section 5.3).
 That is O(sqrt|D|) steps where listing divisors took O(|D|). For D > 0
-it lists only the forms with |a| <= |c|; each rho cycle holds at least
-one of them.
+it lists only the seeds (a, b, -c) with 0 < a <= c: reduced forms with
+|a| <= |c| and a > 0. Each rho cycle holds a seed, because each form's a
+is the c of the form before it, and ``class_group`` walks each cycle
+once on integers and indexes only its seeds: a lookup reduces a form
+and steps rho on to a seed, at most 5 steps over the fields
+2 <= d <= 2500. Negation (a, b, c) -> (-a, b, -c) commutes with rho,
+whose new b depends only on b and |c|, so a walk gives the negated
+cycle too: another class unless a unit of norm -1 exists, when every
+class is its own negation (Buchmann and Vollmer, *Binary Quadratic
+Forms*, Springer 2007, ch. 6).
+
+Composition takes a3 = a1 a2 and b3 by one inverse mod a1 when
+gcd(a1, a2) = 1, and two extended gcds otherwise (Cohen, Alg. 5.4.7).
 
 One loop per sign reduces a form and keeps no change of variables;
 ``reduce``, ``compose``, ``ClassGroup.mul`` and ``class_index`` all run
@@ -159,10 +170,12 @@ def _rho(f: Form, D: int, s: int) -> Form:
 
 
 def _reduce_indef(f: Form, D: int) -> Form:
-    """A reduced form properly equivalent to the indefinite f."""
+    """A seed properly equivalent to the indefinite f: a reduced form with
+    |a| <= |c|. Once reduced, rho stays on the cycle and each step's a is
+    the c before it, so |a| cannot fall at every step and a seed comes."""
     s = isqrt(D)
     for _ in range(_STEP_CAP):
-        if _is_reduced_indef(f, s):
+        if _is_reduced_indef(f, s) and abs(f.a) <= abs(f.c):
             return f
         f = _rho(f, D, s)
     raise ArithmeticError("indefinite reduction did not terminate (bug)")
@@ -191,9 +204,49 @@ def _cycle_from(f: Form, D: int) -> list[Form]:
     raise ResourceLimitError(f"the reduction cycle of D = {D} holds more than {_STEP_CAP} forms")
 
 
+def _cycle_seeds(f: Form, D: int) -> tuple[tuple[int, int], tuple[int, int], list[Form]]:
+    """The least (a, b) of the rho cycle through the reduced form f, the
+    least (a, b) of its negation (-a, b, -c), and the cycle's seeds
+    (|a| <= |c|) from f on.
+
+    It walks and checks as ``_cycle_from`` does and builds a Form only
+    for a seed. c is fixed by a and b, so (a, b) orders forms as
+    (a, b, c) does. a and c have opposite signs and each a is the c
+    before it, so a changes sign at every step: the least form has a < 0,
+    and the least of the negation is the negated form with the largest
+    a > 0 (least b among those).
+    """
+    s = isqrt(D)
+    a0, b0, _ = a, b, c = f
+    la = lb = na = nb = 0
+    seeds = []
+    for _ in range(_STEP_CAP):
+        if a < 0:
+            if a < la or a == la and b < lb:
+                la, lb = a, b
+            if a + c >= 0:
+                seeds.append(tuple.__new__(Form, (a, b, c)))
+            m = 2 * c
+        else:
+            if -a < na or -a == na and b < nb:
+                na, nb = -a, b
+            if a + c <= 0:
+                seeds.append(tuple.__new__(Form, (a, b, c)))
+            m = -2 * c
+        # m = 2|c| = 2|a| of the next form
+        a, b = c, s - (s + b) % m
+        c = (b * b - D) // (4 * a)
+        if a == a0 and b == b0:
+            return (la, lb), (na, nb), seeds
+        if not (1 <= b <= s and s - b + 1 <= m <= s + b):
+            raise ArithmeticError(f"rho left the reduced cycle at ({a}, {b}, {c}) (bug)")
+    raise ResourceLimitError(f"the reduction cycle of D = {D} holds more than {_STEP_CAP} forms")
+
+
 def _reduced(f: Form, D: int) -> Form:
-    """A reduced form properly equivalent to f (for D > 0 not necessarily
-    the canonical one), without validation."""
+    """A reduced form properly equivalent to f, without validation: for
+    D > 0 a seed (|a| <= |c|) of its cycle, not necessarily the canonical
+    form, so that ``ClassGroup``'s index needs to hold only the seeds."""
     return _reduce_definite(f) if D < 0 else _reduce_indef(f, D)
 
 
@@ -241,13 +294,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _compose_raw(f: Form, g: Form, D: int) -> Form:
     # Dirichlet composition; output has the same discriminant, not reduced.
-    a1, b1, c1 = f
+    a1, b1, _ = f
     a2, b2, _ = g
-    s = (b1 + b2) // 2
-    d1, u1, v1 = _xgcd(a1, a2)
-    d, u2, v2 = _xgcd(d1, s)
-    a3 = a1 * a2 // (d * d)
-    b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
+    if gcd(a1, a2) == 1:
+        # b3 = b2 (mod 2 a2) and b3 = b1 (mod 2 a1), by one inverse mod a1
+        a3 = a1 * a2
+        b3 = b2 + 2 * a2 * ((b1 - b2) // 2 * pow(a2, -1, a1) % a1)
+    else:
+        s = (b1 + b2) // 2
+        d1, u1, v1 = _xgcd(a1, a2)
+        d, u2, v2 = _xgcd(d1, s)
+        a3 = a1 * a2 // (d * d)
+        b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
     b3 %= 2 * a3
     c3 = (b3 * b3 - D) // (4 * a3)
     return tuple.__new__(Form, (a3, b3, c3))
@@ -295,8 +353,9 @@ def _ambiguous_form(p: int, D: int) -> Form:
 
 def _enumerate_reduced(D: int) -> list[Form]:
     """The reduced forms of the fundamental discriminant D, sorted: all
-    positive definite ones when D < 0; when D > 0 those with |a| <= |c|,
-    one or more seeds per rho cycle for ``class_group`` to walk.
+    positive definite ones when D < 0; when D > 0 the seeds (a, b, -c)
+    with 0 < a <= c, one or more per rho cycle or per negated cycle for
+    ``class_group`` to walk.
 
     a runs up to sqrt(|D|/3) when D < 0 and sqrt(D)/2 when D > 0.
     ``roots[a]`` lists the b mod 2a with b^2 = D (mod 4a), built from the
@@ -312,7 +371,9 @@ def _enumerate_reduced(D: int) -> list[Form]:
     is the condition s - b < 2|a| for a reduced form; a <= |c| is then
     the other half, because the reduced condition is symmetric in |a| and
     |c| (4|a||c| = D - b^2, D not a square), and every cycle holds such a
-    form because each form's a is the c of the form before it. Each b is
+    form because each form's a is the c of the form before it. The seed
+    (-a, b, c) is left out: it lies on the negation of the cycle through
+    (a, b, -c), which ``class_group`` files from that walk. Each b is
     checked against b^2 = D (mod 4a) before it makes a form.
     """
     if D < 0:
@@ -368,7 +429,7 @@ def _enumerate_reduced(D: int) -> list[Form]:
                     raise ArithmeticError(f"b = {b} is no square root of D = {D} mod {a4} (bug)")
                 c = n // a4
                 if c >= a:
-                    forms += (new(Form, (a, b, -c)), new(Form, (-a, b, c)))
+                    forms.append(new(Form, (a, b, -c)))
     forms.sort()
     return forms
 
@@ -385,6 +446,9 @@ class ClassGroup:
     trivial group, and are read off the class orders. ``_orders`` and
     ``_squares`` keep each class's order and the index of its square,
     read off the cyclic walks; ``two_torsion`` reads the orders.
+    ``_index`` maps each reduced form to its class for D < 0, and for
+    D > 0 only each seed (a reduced form with |a| <= |c|), the form
+    ``_reduced`` lands on.
     ``_span[mask]`` is the product of the ``two_torsion_basis`` classes
     that the bits of mask select, so a class of order at most 2 has its
     GF(2) coordinates in the basis at its position in ``_span``.
@@ -463,11 +527,12 @@ def _inverses(D: int, reps, index: dict) -> list[int]:
     the same class when it is not reduced (b = 0, b = a or a = c). For
     D > 0 it is the class of (c, b, a): S takes (a, -b, c) to it, and it
     is reduced as (a, b, c) is, the reduced condition being symmetric in
-    |a| and |c|, so it lies on the inverse's cycle.
+    |a| and |c|, so it lies on the inverse's cycle; rho carries it on to
+    a seed, which the index holds.
     """
     if D < 0:
         return [i if b == 0 or b == a or a == c else index[(a, -b, c)] for i, (a, b, c) in enumerate(reps)]
-    return [index[(c, b, a)] for a, b, c in reps]
+    return [index[_reduced(tuple.__new__(Form, (c, b, a)), D)] for a, b, c in reps]
 
 
 def _two_torsion_basis(mul, identity: int, orders) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -490,13 +555,16 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
     """Full narrow class group of a fundamental discriminant.
 
     Enumerates reduced forms a-first, with b from the square roots of D
-    mod 4a: every reduced form when D < 0, and when D > 0 the reduced
-    forms with |a| <= |c|, which seed the rho cycles that make up the
-    classes. Every class order is read off one walk per cyclic subgroup
-    and kept on the group, and the invariant factors are read off those
-    orders: h is not factorised. A walk x, x^2, ... composes only until
-    it meets the inverse of its last power; the rest of it is the
-    inverses of the powers before, each one lookup. Raises
+    mod 4a: every reduced form when D < 0, and when D > 0 the seeds with
+    a > 0. From each seed no walk has filed yet, one walk on integers
+    goes round its rho cycle, files the cycle's seeds under its class,
+    and, when the negated cycle is another class, files the negated
+    seeds under that class; classes are numbered by their canonical
+    forms, the cycle minima. Every class order is read off one walk per
+    cyclic subgroup and kept on the group, and the invariant factors are
+    read off those orders: h is not factorised. A walk x, x^2, ...
+    composes only until it meets the inverse of its last power; the rest
+    of it is the inverses of the powers before, each one lookup. Raises
     ResourceLimitError when |D| exceeds ``DEFAULT_MAX_DISC`` (10^7) or the
     class number exceeds ``max_h``; |D| is checked before D is
     factorised, so that error wins over ValueError for an invalid D. A
@@ -513,15 +581,21 @@ def class_group(D: int, *, max_h: int = DEFAULT_MAX_H) -> ClassGroup:
         reps = tuple(_enumerate_reduced(D))
         index = {f: i for i, f in enumerate(reps)}
     else:
-        classes: list[list[Form]] = []
-        seen: set[Form] = set()
+        # per class: the least (a, b) of its cycle, and the cycle's seeds
+        classes: list[tuple[tuple[int, int], list[Form]]] = []
+        filed: set[Form] = set()
         for f in _enumerate_reduced(D):
-            if f not in seen:
-                classes.append(_cycle_from(f, D))
-                seen.update(classes[-1])
-        classes.sort(key=min)
-        reps = tuple(map(min, classes))
-        index = {g: i for i, cyc in enumerate(classes) for g in cyc}
+            if f not in filed:
+                least, negated, seeds = _cycle_seeds(f, D)
+                classes.append((least, seeds))
+                filed.update(seeds)
+                if negated != least:
+                    # rho(-g) = -rho(g): the negated seeds make up another class
+                    classes.append((negated, [tuple.__new__(Form, (-a, b, -c)) for a, b, c in seeds]))
+                    filed.update(classes[-1][1])
+        classes.sort()  # by least (a, b): no two classes share one
+        reps = tuple(tuple.__new__(Form, (a, b, (b * b - D) // (4 * a))) for (a, b), _ in classes)
+        index = {g: i for i, (_, seeds) in enumerate(classes) for g in seeds}
     h = len(reps)
     if h > max_h:
         raise ResourceLimitError(f"h+ = {h} exceeds the bound {max_h}")

@@ -38,7 +38,7 @@ from .nodesets import (
     feasible_distributions,
     quintic_certificate,
 )
-from .quadfield import _discriminant
+from .quadfield import _discriminant, _ramified
 
 SCHEMA_VERSION = "1"
 
@@ -83,22 +83,30 @@ _KEY_PREFIX = re.compile(rb'\{"key": (-?[0-9]{1,%d}), ' % len(str(DEFAULT_MAX_DI
 _INDEX_BUFFER = 1 << 16
 
 
-def _valid_value(line: str, D: int):
+def _valid_value(line: str, D: int, ramified: tuple[int, ...] | None = None):
     """The value of the cache line ``line`` if it decodes to a record of
     the current schema for key ``D`` whose class number and the genus
-    report keys the checks read have their exact types, else None."""
+    report keys the checks read have their exact types, and which
+    describes the field of D, else None. That field's record has D in
+    both its class group and its genus report, the report's d is the d
+    of D, and the class number counts the reps; when ``ramified`` is
+    given, the report's ramified primes are those and r is their count."""
     try:
         rec = _load_json(line)
         if not isinstance(rec, dict) or rec.get("version") != SCHEMA_VERSION:
             return None
         value = rec["value"]
-        rep = value["genus_report"]
+        cg, rep = value["class_group"], value["genus_report"]
         if (
             rec["key"] == D
-            and type(value["class_group"]["h_plus"]) is int
+            and type(cg["h_plus"]) is int
+            and cg["h_plus"] == len(cg["reps"])
             and isinstance(rep, dict)
             # bools are ints to isinstance, so the type is compared
             and all(type(rep.get(k)) is t for k, t in _REPORT_TYPES.items())
+            and cg["D"] == rep.get("D") == D
+            and rep["d"] == (D if D % 4 == 1 else D // 4)
+            and (ramified is None or rep.get("ramified") == list(ramified) and rep["r"] == len(ramified))
         ):
             return value
     except (ValueError, KeyError, TypeError):
@@ -124,14 +132,20 @@ class ResultCache:
     checks read at its exact type: ints ``d``, ``r``, ``wide_rank``,
     list ``kernel_masks``, bools ``gauss_holds``,
     ``image_is_two_torsion``, ``support_class_principal`` and
-    ``norm_minus_one`` (0 is no bool, True no int). So neither a torn write nor a mistyped edit poisons
-    the file. A line whose decoded ``key`` differs from its prefix key
-    (two ``key`` members) is never served. The file is assumed
-    append-only, so the offsets taken at load stay valid while ``put``
-    appends. The first ``get`` that needs a line opens the file for
-    reading; the first ``put`` opens it for appending, line-buffered,
-    ends a torn last line, and keeps it open: each record reaches the OS
-    as its line is written. ``close`` closes both.
+    ``norm_minus_one`` (0 is no bool, True no int). It is skipped too
+    if it describes another field: its class group and genus report
+    must both give D, the report the d of D, and the class number must
+    count the reps; ``get(D, ramified)``, as ``run_scan`` calls it with
+    the primes of its own factorisation of d, also requires the report's
+    ramified primes and r to match. So neither a torn write, a mistyped
+    edit nor a line filed under the wrong key poisons the file. A line
+    whose decoded ``key`` differs from its prefix key (two ``key``
+    members) is never served. The file is assumed append-only, so the
+    offsets taken at load stay valid while ``put`` appends. The first
+    ``get`` that needs a line opens the file for reading; the first
+    ``put`` opens it for appending, line-buffered, ends a torn last
+    line, and keeps it open: each record reaches the OS as its line is
+    written. ``close`` closes both.
     """
 
     def __init__(self, path):
@@ -151,13 +165,13 @@ class ResultCache:
                 offset += len(line)
         self._torn_tail = offset > 0 and not line.endswith(b"\n")
 
-    def get(self, D: int):
+    def get(self, D: int, ramified: tuple[int, ...] | None = None):
         if D not in self.records:
             for offset, length in reversed(self._spans.pop(D, ())):
                 if self._in is None:
                     self._in = self.path.open("rb")
                 self._in.seek(offset)
-                value = _valid_value(self._in.read(length).decode(errors="replace"), D)
+                value = _valid_value(self._in.read(length).decode(errors="replace"), D, ramified)
                 if value is not None:
                     self.records[D] = value
                     break
@@ -263,10 +277,11 @@ def run_scan(job: ScanJob, cache: ResultCache | None = None) -> dict:
     kept: list[tuple[int, dict | None]] = []
     skipped = 0
     for d in range(lo, hi + 1):
-        if d in (0, 1) or not factorize(d).is_squarefree:
+        if d in (0, 1) or not (fac := factorize(d)).is_squarefree:
             skipped += 1
             continue
-        cached = cache.get(_discriminant(d)) if cache else None
+        # a cached record is served only for this field, with D's primes
+        cached = cache.get(_discriminant(d), _ramified(d, fac.primes)) if cache else None
         if cached is not None and (h := cached["class_group"]["h_plus"]) > job.max_h:
             raise ResourceLimitError(f"h+ = {h} exceeds the bound {job.max_h}")
         kept.append((d, cached))

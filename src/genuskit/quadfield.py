@@ -81,6 +81,11 @@ def _discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
+def _ramified(d: int, primes: tuple[int, ...]) -> tuple[int, ...]:
+    # the primes of D, ascending, from those of the squarefree d: 2 joins when D = 4d
+    return primes if d % 4 == 1 else tuple(sorted({2, *primes}))
+
+
 def field_from_d(d: int) -> QuadField:
     if d in (0, 1):
         raise ValueError(f"d = {d} does not define a quadratic field")
@@ -89,7 +94,7 @@ def field_from_d(d: int) -> QuadField:
         p = next(p for p, e in fac.factors if e >= 2)
         raise ValueError(f"d = {d} is not squarefree (divisible by {p * p} or worse)")
     D = _discriminant(d)
-    ramified = fac.primes if D == d else tuple(sorted(set(fac.primes) | {2}))
+    ramified = _ramified(d, fac.primes)
     return QuadField(d=d, D=D, ramified=ramified, r=len(ramified), is_real=d > 0)
 
 

@@ -79,7 +79,8 @@ def oracle_indefinite_reduced(D):
 def oracle_b_first(D):
     """The reduced forms the library enumerates, sorted, b-first: for each
     b = D (mod 2), the a over the divisors of |b^2 - D|/4 up to its square
-    root. Every reduced form when D < 0; when D > 0 those with |a| <= |c|."""
+    root. Every reduced form when D < 0; when D > 0 the seeds (a, b, c)
+    with 0 < a <= -c, the negated seeds being filed from their walks."""
     forms = []
     if D < 0:
         for b in range(D % 2, isqrt(-D // 3) + 1, 2):
@@ -94,7 +95,7 @@ def oracle_b_first(D):
         for b in range(D % 2, s + 1, 2):
             num = (D - b * b) // 4
             for a in [a for a in range((s - b) // 2 + 1, isqrt(num) + 1) if num % a == 0]:
-                forms += (Form(a, b, -(num // a)), Form(-a, b, num // a))
+                forms.append(Form(a, b, -(num // a)))
     return sorted(forms)
 
 
@@ -514,6 +515,107 @@ def test_compositions_over_a_scan_are_pinned(monkeypatch):
     for d in fields:
         compute_record(d)
     assert len(calls) <= 30_000
+
+
+# the real fields of seed 1's fields-large round, with long rho cycles
+LARGE_REAL = (1795517, 1880933, 1999441, 2075713, 2184769)
+
+
+def _real_fields(top):
+    return [d for d in range(2, top) if factorize(d).is_squarefree] + list(LARGE_REAL)
+
+
+def test_negated_class_is_the_class_exactly_with_a_norm_minus_one_unit():
+    # (-a, b, -c) is (a, b, c) composed with the negated principal form,
+    # which is principal exactly when a unit of norm -1 exists; so either
+    # every class is its own negation or none is. class_index walks the
+    # negated rep to a seed; the index holds the seeds of every cycle
+    from genuskit.quadfield import field_from_d, has_norm_minus_one
+
+    fields = _real_fields(3000)
+    assert len(fields) == 1828
+    units = 0
+    for d in fields:
+        cg = class_group(d if d % 4 == 1 else 4 * d)
+        negated = [cg.class_index(Form(-a, b, -c)) for a, b, c in cg.reps]
+        unit = has_norm_minus_one(field_from_d(d))
+        units += unit
+        assert [i == j for i, j in enumerate(negated)] == [unit] * cg.h_plus, d
+        assert sorted(negated) == list(range(cg.h_plus)), d
+        seeds = {g for f in cg.reps for g in reduction_cycle(f) if abs(g.a) <= abs(g.c)}
+        assert set(cg._index) == seeds, d
+    assert units == 408
+
+
+def test_lookups_walk_at_most_five_rho_steps(monkeypatch):
+    # a lookup reduces, then steps rho from a reduced form to a seed
+    # (|a| <= |c|), the only forms the index holds; count those steps
+    from genuskit.cli import compute_record
+
+    steps = []
+    rho, reduced = bqf._rho, bqf._reduced
+
+    def counting_rho(f, D, s):
+        if steps and bqf._is_reduced_indef(f, s):
+            steps[-1] += 1
+        return rho(f, D, s)
+
+    def counting_reduced(f, D):
+        steps.append(0)
+        return reduced(f, D)
+
+    monkeypatch.setattr(bqf, "_rho", counting_rho)
+    monkeypatch.setattr(bqf, "_reduced", counting_reduced)
+    for d in _real_fields(2501):
+        compute_record(d)
+    # 16,518 lookups took 4,636 steps, at most 5 each, when this was written
+    assert len(steps) > 10_000
+    assert 0 < sum(steps) <= 5000 and max(steps) <= 5, (sum(steps), max(steps))
+
+
+def _compose_general(f, g, D):
+    """Dirichlet composition by two extended gcds (Cohen, GTM 138, Alg.
+    5.4.7), b3 reduced mod 2 a3: the raw form, with its own xgcd."""
+
+    def xgcd(x, y):
+        if y == 0:
+            return (abs(x), 1 if x >= 0 else -1, 0)
+        q, r = divmod(x, y)
+        e, u, v = xgcd(y, r)
+        return e, v, u - q * v
+
+    (a1, b1, _), (a2, b2, _) = f, g
+    d1, u1, v1 = xgcd(a1, a2)
+    d, u2, v2 = xgcd(d1, (b1 + b2) // 2)
+    a3 = a1 * a2 // (d * d)
+    b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d % (2 * a3)
+    return (a3, b3, (b3 * b3 - D) // (4 * a3))
+
+
+def test_coprime_composition_matches_the_general_formula():
+    # _compose_raw composes coprime a1, a2 by one inverse mod a1; both
+    # paths, on reps and on random forms of both signs of a, give the raw
+    # form the general formula gives
+    rng = random.Random(23)
+    pairs = []
+    for D in CANONICAL_GROUPS:
+        reps = class_group(D).reps
+        # all pairs, but each of the 1,715 reps of -9999991 with 40 others
+        others = reps if len(reps) < 100 else rng.sample(reps, 40)
+        pairs += [(D, f, g) for f in reps for g in others]
+    for D in fundamental_range(400) + [2184769, -9999991]:
+        for _ in range(40):
+            f, g = (_random_form(rng, D, steps=rng.randint(1, 8)) for _ in range(2))
+            if D > 0 and rng.random() < 0.5:
+                f = Form(-f.a, f.b, -f.c)
+            pairs.append((D, f, g))
+    coprime = 0
+    for D, f, g in pairs:
+        coprime += gcd(f.a, g.a) == 1
+        assert bqf._compose_raw(f, g, D) == _compose_general(f, g, D), (f, g, D)
+    # 40,849 of the 85,326 pairs take the coprime path
+    assert min(coprime, len(pairs) - coprime) > 10_000, (coprime, len(pairs))
+    assert any(f.a < 0 < D for D, f, _ in pairs)
 
 
 def test_class_index_rejects_invalid_forms():

@@ -252,6 +252,43 @@ def test_scan_reports_anomaly_of_cached_record(tmp_path, capsys):
             assert ok is True or ok is False or ok is None, (record["genus_report"]["d"], ok)
 
 
+def test_cache_serves_a_record_only_for_its_own_field(tmp_path, capsys):
+    # records under D = -20 that describe another field, each failing the
+    # gauss check: each is skipped like an undecodable line, so the scan
+    # matches the cold one, alone (d = -5 computed fresh) or after an
+    # older valid line for -20 (that line served)
+    cold = run(capsys, "--json", "scan", "--", "-6", "-2")
+    own = json.loads(json.dumps(cli.compute_record(-5)))
+
+    def doctored(value, cg=None, rep=None):
+        return {"class_group": {**value["class_group"], **(cg or {})},
+                "genus_report": {**value["genus_report"], **(rep or {}), "gauss_holds": False}}
+
+    foreign = doctored(json.loads(json.dumps(cli.compute_record(-6))))
+    cases = {
+        "another field's record": foreign,
+        "class group D": doctored(own, cg={"D": -24}),
+        "report D": doctored(own, rep={"D": -24}),
+        "report d": doctored(own, rep={"d": -6}),
+        "h_plus not the number of reps": doctored(own, cg={"h_plus": 3}),
+        "ramified primes": doctored(own, rep={"ramified": [2, 3]}),
+        "r": doctored(own, rep={"r": 3}),
+    }
+    path = tmp_path / "cache.jsonl"
+    for name, value in cases.items():
+        for older in ([], [_cache_line(-20, own)]):
+            path.write_text("".join(line + "\n" for line in [*older, _cache_line(-20, value)]))
+            with closing(cli.ResultCache(path)) as cache:
+                assert cache.get(-20, (2, 5)) == (own if older else None), name
+            assert run(capsys, "--json", "--cache", str(path), "scan", "--", "-6", "-2") == cold, name
+    # the ramified primes are checked only against a factorisation given
+    path.write_text(_cache_line(-20, cases["r"]) + "\n")
+    assert _cached(path, -20) == cases["r"]
+    # the record of the same field, with the flag flipped, is still served
+    path.write_text(_cache_line(-20, doctored(own)) + "\n")
+    assert run(capsys, "--json", "--cache", str(path), "scan", "--", "-6", "-2")[0] == 1
+
+
 def test_scan_without_cache_drops_each_record_once_tallied(monkeypatch):
     # each record the worker returns is tracked by a weak reference; a scan
     # that kept every record until its summary would hold hundreds of them
@@ -288,7 +325,7 @@ def test_cache_serves_newest_valid_line(tmp_path):
     # line wins, and the torn or mistyped lines after it are skipped
     path = tmp_path / "cache.jsonl"
     value = json.loads(json.dumps(cli.compute_record(-5)))
-    oldest = _cache_line(-20, json.loads(json.dumps(cli.compute_record(-7))))
+    oldest = _cache_line(-20, {**value, "genus_report": {**value["genus_report"], "gauss_holds": False}})
     good = _cache_line(-20, value)
     mistyped = _cache_line(-20, {**value, "genus_report": {**value["genus_report"], "r": "2"}})
     # a bool is an int to isinstance, but not a class number
@@ -372,7 +409,7 @@ def test_cached_scan_memory_does_not_grow_with_the_cache_file(tmp_path):
 
 def test_cache_splits_lines_on_newline_only(tmp_path):
     path = tmp_path / "cache.jsonl"
-    values = {-20: json.loads(json.dumps(cli.compute_record(-5))), -28: json.loads(json.dumps(cli.compute_record(-7)))}
+    values = {-20: json.loads(json.dumps(cli.compute_record(-5))), -7: json.loads(json.dumps(cli.compute_record(-7)))}
     first, second = (_cache_line(D, value) for D, value in values.items())
     path.write_bytes((first + "\r\n" + second + "\r\n").encode())
     assert {D: _cached(path, D) for D in values} == values
