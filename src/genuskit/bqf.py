@@ -16,26 +16,28 @@ lexicographic minimum of its cycle.
 ``class_group`` lists reduced forms a-first: for each a up to
 sqrt(|D|/3) (D < 0) or sqrt(D)/2 (D > 0), the b with b^2 = D (mod 4a)
 come from the square roots of D mod the prime powers of a, one b per
-residue mod 2a in the reduction window (Cohen, GTM 138, section 5.3).
-That is O(sqrt|D|) steps where listing divisors took O(|D|). For D > 0
-it lists only the seeds (a, b, -c) with 0 < a <= c: reduced forms with
-|a| <= |c| and a > 0. Each rho cycle holds a seed, because each form's a
-is the c of the form before it, and ``class_group`` walks each cycle
-once on integers and indexes only its seeds: a lookup reduces a form
-and steps rho on to a seed, at most 5 steps over the fields
-2 <= d <= 2500. Negation (a, b, c) -> (-a, b, -c) commutes with rho,
-whose new b depends only on b and |c|, so a walk gives the negated
-cycle too: another class unless a unit of norm -1 exists, when every
-class is its own negation (Buchmann and Vollmer, *Binary Quadratic
-Forms*, Springer 2007, ch. 6).
+residue mod 2a (Cohen, GTM 138, section 5.3). One window rule serves
+both signs: b lies in (hi - 2a, hi], with hi = a for D < 0 and
+hi = isqrt(D) for D > 0, and the form is kept when c > a, or c = a and
+b >= 0. For D > 0 that lists only the seeds (a, b, -c) with
+0 < a <= c: reduced forms with |a| <= |c| and a > 0. Each rho cycle
+holds a seed, because each form's a is the c of the form before it, and
+``class_group`` walks each cycle once on integers and indexes only its
+seeds: a lookup reduces a form and steps rho on to a seed, at most 5
+steps over the fields 2 <= d <= 2500. Negation (a, b, c) -> (-a, b, -c)
+commutes with rho, whose new b depends only on b and |c|, so a walk
+gives the negated cycle too: another class unless a unit of norm -1
+exists, when every class is its own negation (Buchmann and Vollmer,
+*Binary Quadratic Forms*, Springer 2007, ch. 6).
 
 Composition takes a3 = a1 a2 and b3 by one inverse mod a1 when
-gcd(a1, a2) = 1, and two extended gcds otherwise (Cohen, Alg. 5.4.7).
+gcd(a1, a2) = 1. Otherwise it follows Cohen, Alg. 5.4.7, with each of
+its two Bezout pairs taken from ``math.gcd`` and one inverse.
 
-One loop per sign reduces a form and keeps no change of variables;
-``reduce``, ``compose``, ``ClassGroup.mul`` and ``class_index`` all run
-it. The hot paths (``_rho``, the rho cycle walk, reduction, composition
-and ``_enumerate_reduced``) build each form with
+One loop per sign reduces a form; ``reduce``, ``compose``,
+``ClassGroup.mul`` and ``class_index`` all run it. The hot paths
+(``_rho``, the rho cycle walk, reduction, composition and
+``_enumerate_reduced``) build each form with
 ``tuple.__new__(Form, (a, b, c))``: the same object as ``Form(a, b, c)``,
 without NamedTuple's generated Python-level ``__new__``.
 """
@@ -277,21 +279,6 @@ def reduction_cycle(f: Form) -> tuple[Form, ...]:
     return tuple(cycle[k:] + cycle[:k])
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, u, v) with g = u*a + v*b, g >= 0
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _compose_raw(f: Form, g: Form, D: int) -> Form:
     # Dirichlet composition; output has the same discriminant, not reduced.
     a1, b1, _ = f
@@ -301,9 +288,18 @@ def _compose_raw(f: Form, g: Form, D: int) -> Form:
         a3 = a1 * a2
         b3 = b2 + 2 * a2 * ((b1 - b2) // 2 * pow(a2, -1, a1) % a1)
     else:
+        # Bezout pairs d1 = u1 a1 + v1 a2 and d = u2 d1 + v2 s, each by one
+        # inverse; an inverse mod 1 or -1 is 0
         s = (b1 + b2) // 2
-        d1, u1, v1 = _xgcd(a1, a2)
-        d, u2, v2 = _xgcd(d1, s)
+        d1 = gcd(a1, a2)
+        u1 = pow(a1 // d1, -1, a2 // d1)
+        v1 = (d1 - u1 * a1) // a2
+        d = gcd(d1, s)
+        if s:
+            u2 = pow(d1 // d, -1, s // d)
+            v2 = (d - u2 * d1) // s
+        else:
+            u2, v2 = 1, 0
         a3 = a1 * a2 // (d * d)
         b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
     b3 %= 2 * a3
@@ -365,22 +361,24 @@ def _enumerate_reduced(D: int) -> list[Form]:
     once per call. For p = 2 or p | m each b mod 2m lifts by testing its
     p candidates mod 2a. A multiple of a prime without roots has none.
 
-    Each residue fixes one b in a window. For D < 0 the window is (-a, a]:
-    b in [0, a] gives (a, b, c), and the twin (a, -b, c) when
-    0 < b < a < c. For D > 0 it is (s - 2a, s] with s = isqrt(D), which
-    is the condition s - b < 2|a| for a reduced form; a <= |c| is then
-    the other half, because the reduced condition is symmetric in |a| and
-    |c| (4|a||c| = D - b^2, D not a square), and every cycle holds such a
-    form because each form's a is the c of the form before it. The seed
-    (-a, b, c) is left out: it lies on the negation of the cycle through
-    (a, b, -c), which ``class_group`` files from that walk. Each b is
-    checked against b^2 = D (mod 4a) before it makes a form.
+    One window rule serves both signs. Each residue r fixes
+    b = hi - (hi - r) mod 2a in the window (hi - 2a, hi], with hi = a
+    for D < 0 and hi = s = isqrt(D) for D > 0, and c = |b^2 - D| / 4a.
+    The form is kept when c > a, or when c = a and b >= 0: (a, b, c) for
+    D < 0 and the seed (a, b, -c) for D > 0. For D < 0 that is the
+    reduced condition |b| <= a <= c, with b >= 0 when |b| = a or a = c,
+    since b = -a lies outside the window. For D > 0 the window is the
+    condition s - b < 2|a| of a reduced form, and a <= s // 2 puts b >= 1
+    in it, so the rule is c >= a: the other half of the reduced
+    condition, which is symmetric in |a| and |c| (4|a||c| = D - b^2, D
+    not a square). Every cycle holds such a form because each form's a
+    is the c of the form before it. The seed (-a, b, c) is left out: it
+    lies on the negation of the cycle through (a, b, -c), which
+    ``class_group`` files from that walk. Each b is checked against
+    b^2 = D (mod 4a) before it makes a form.
     """
-    if D < 0:
-        top = isqrt(-D // 3)
-    else:
-        s = isqrt(D)
-        top = s // 2
+    s = isqrt(abs(D))
+    top = isqrt(-D // 3) if D < 0 else s // 2
     # least prime factor; spf[1] = 1, so a = 1 passes through the lift as is
     spf = list(range(top + 1))
     for p in range(isqrt(top), 1, -1):
@@ -410,26 +408,15 @@ def _enumerate_reduced(D: int) -> list[Form]:
             t = pow(m, -1, p)
             rs = [x + 2 * m * ((y - x) // 2 * t % p) for x in base for y in roots[p]]
         roots[a] = rs
-        if D < 0:
-            for b in rs:
-                if b <= a:
-                    n = b * b - D
-                    if n % a4:
-                        raise ArithmeticError(f"b = {b} is no square root of D = {D} mod {a4} (bug)")
-                    c = n // a4
-                    if c >= a:
-                        forms.append(new(Form, (a, b, c)))
-                        if 0 < b < a < c:
-                            forms.append(new(Form, (a, -b, c)))
-        else:
-            for r in rs:
-                b = s - (s - r) % a2
-                n = D - b * b
-                if n % a4:
-                    raise ArithmeticError(f"b = {b} is no square root of D = {D} mod {a4} (bug)")
-                c = n // a4
-                if c >= a:
-                    forms.append(new(Form, (a, b, -c)))
+        hi = a if D < 0 else s
+        for r in rs:
+            b = hi - (hi - r) % a2
+            n = abs(b * b - D)
+            if n % a4:
+                raise ArithmeticError(f"b = {b} is no square root of D = {D} mod {a4} (bug)")
+            c = n // a4
+            if c > a or c == a and b >= 0:
+                forms.append(new(Form, (a, b, c if D < 0 else -c)))
     forms.sort()
     return forms
 

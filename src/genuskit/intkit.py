@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+from .errors import ResourceLimitError
+
 __all__ = [
     "Factorization",
     "PeriodicCF",
@@ -234,7 +236,12 @@ _CF_STEP_CAP = 200_000
 
 
 def cf_expand(P: int, Q: int, D: int) -> PeriodicCF:
-    """Expand (P + sqrt(D)) / Q into its preperiod and minimal period."""
+    """Expand (P + sqrt(D)) / Q into its preperiod and minimal period.
+
+    Raises ResourceLimitError when the preperiod and period together run
+    past ``_CF_STEP_CAP`` (2 * 10^5) quotients, as they can for valid
+    input of large D: the period of sqrt(D) can grow about as sqrt(D).
+    """
     if Q == 0:
         raise ValueError("denominator Q must be nonzero")
     if D <= 0 or isqrt(D) ** 2 == D:
@@ -248,7 +255,7 @@ def cf_expand(P: int, Q: int, D: int) -> PeriodicCF:
     Pi, Qi = P, Q
     while (Pi, Qi) not in seen:
         if len(quots) > _CF_STEP_CAP:
-            raise ArithmeticError("continued fraction failed to close (bug)")
+            raise ResourceLimitError(f"the continued fraction for D = {D} runs past {_CF_STEP_CAP} quotients")
         seen[(Pi, Qi)] = len(quots)
         a = _floor_quot(Pi, Qi, s)
         quots.append(a)

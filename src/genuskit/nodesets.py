@@ -712,10 +712,14 @@ def quintic_certificate(
     returned only when the search exhausts the space without a code. b2
     is an input, not derived here, and the even-set size menu below 24 is
     likewise taken as given (min_even from Castelnuovo's inequality). A
-    negative ``node_budget`` is a ValueError, and min_even above
-    ``MAX_MIN_EVEN`` a ResourceLimitError, both raised before any step.
+    negative ``node_budget``, ``b2`` or ``nodes`` is a ValueError, and
+    min_even above ``MAX_MIN_EVEN`` a ResourceLimitError, all raised
+    before any step.
     """
     _check_node_budget(node_budget)
+    for name, value in (("b2", b2), ("nodes", nodes)):
+        if value < 0:
+            raise ValueError(f"{name} must not be negative, not {value}")
     if min_even > MAX_MIN_EVEN:
         raise ResourceLimitError(f"min_even = {min_even} exceeds the bound {MAX_MIN_EVEN}")
     steps = []

@@ -14,6 +14,7 @@ GF(2) rank, and composes nothing.
 """
 
 import random
+from collections import Counter
 from math import gcd, isqrt, prod
 
 import pytest
@@ -610,11 +611,21 @@ def test_coprime_composition_matches_the_general_formula():
                 f = Form(-f.a, f.b, -f.c)
             pairs.append((D, f, g))
     coprime = 0
+    # the general path's special cases: s = (b1 + b2) / 2 = 0, an inverse
+    # mod |a2 / d1| = 1, d = gcd(d1, s) > 1, and a negative a
+    cases = Counter()
     for D, f, g in pairs:
-        coprime += gcd(f.a, g.a) == 1
         assert bqf._compose_raw(f, g, D) == _compose_general(f, g, D), (f, g, D)
-    # 40,849 of the 85,326 pairs take the coprime path
+        d1 = gcd(f.a, g.a)
+        if d1 == 1:
+            coprime += 1
+            continue
+        s = (f.b + g.b) // 2
+        cases.update({"s = 0": s == 0, "|a2/d1| = 1": abs(g.a) == d1, "d > 1": gcd(d1, s) > 1, "a < 0": min(f.a, g.a) < 0})
+    # 40,849 of the 85,326 pairs take the coprime path; of the other
+    # 44,477, the cases hold for 324, 2,046, 23,971 and 5,279
     assert min(coprime, len(pairs) - coprime) > 10_000, (coprime, len(pairs))
+    assert min(cases.values()) > 0, cases
     assert any(f.a < 0 < D for D, f, _ in pairs)
 
 

@@ -446,7 +446,8 @@ def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
     monkeypatch.setattr(nodesets, "feasible_distributions", refuse)
     for argv in (["--bound", "-1", "genus", "-d", "5"], ["--bound", "0", "classgroup", "-D", "-20"],
                  ["--bound", "-1", "scan", "2", "10"], ["nodecode", "-n", "8", "-k", "2", "-w", "4", "--node-budget", "-1"],
-                 ["quintic", "--nodes", "31", "--node-budget", "-1"], ["quintic", "--node-budget", "-1"]):
+                 ["quintic", "--nodes", "31", "--node-budget", "-1"], ["quintic", "--node-budget", "-1"],
+                 ["quintic", "--nodes", "-4"], ["quintic", "--b2", "-10"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
     for max_h in (0, -1):

@@ -206,6 +206,15 @@ def test_search_rejects_negative_budget():
     assert code_search(WeightCodeProblem(8, 2, frozenset({4})), node_budget=100).exists
 
 
+def test_quintic_rejects_negative_nodes_and_b2():
+    # usage errors that name the input, raised before any step is built:
+    # -4 nodes must not become the step "-4 - 26 = -30"
+    for kwargs, name in (({"nodes": -4}, "nodes"), ({"b2": -10}, "b2"), ({"b2": -1, "nodes": 31}, "b2")):
+        with pytest.raises(ValueError, match=f"^{name} must not be negative"):
+            quintic_certificate(**kwargs)
+    assert quintic_certificate(nodes=0).verdict == "INCONCLUSIVE"
+
+
 def test_search_k_zero_takes_the_general_path():
     # the zero code: one state visited, so a budget of 0 runs out
     outcome = code_search(WeightCodeProblem(5, 0, frozenset({1})))

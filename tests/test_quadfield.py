@@ -9,6 +9,7 @@ from math import isqrt
 
 import pytest
 
+from genuskit.errors import ResourceLimitError
 from genuskit.intkit import cf_expand, factorize
 from genuskit.quadfield import field_from_d, fundamental_unit, has_norm_minus_one
 
@@ -189,3 +190,14 @@ def test_norm_minus_one_beyond_sweep_bound():
 def test_norm_minus_one_imaginary_is_false():
     for d in (-1, -2, -3, -5, -163):
         assert has_norm_minus_one(field_from_d(d)) is False
+
+
+def test_a_continued_fraction_past_the_step_cap_is_a_resource_limit():
+    # valid input whose expansion runs past 2 * 10^5 quotients is refused
+    # with a typed error naming D, not reported as a bug
+    with pytest.raises(ResourceLimitError, match="D = 10000000000037 "):
+        cf_expand(0, 1, 10**13 + 37)
+    field = field_from_d(10**15 + 37)
+    for unit_of in (fundamental_unit, has_norm_minus_one):
+        with pytest.raises(ResourceLimitError, match="D = 1000000000000037 "):
+            unit_of(field)
