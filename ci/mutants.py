@@ -87,11 +87,60 @@ MUTANTS = [
         ["tests/test_bqf.py::test_private_paths_match_public_ones"],
     ),
     (
+        "_invariant_factors reading Z/4 x Z/8 as Z/2 x Z/16",
+        "src/genuskit/bqf.py",
+        "    return tuple(reversed(factors))",
+        "    return (2, 16) if factors == [8, 4] else tuple(reversed(factors))",
+        ["tests/test_bqf.py::test_four_rank_matches_redei_matrix"],
+    ),
+    (
+        "_cycle_seeds filing every a < 0 form as a seed",
+        "src/genuskit/bqf.py",
+        "            if a + c >= 0:",
+        "            if True:",
+        ["tests/test_bqf.py::test_negated_class_is_the_class_exactly_with_a_norm_minus_one_unit"],
+    ),
+    (
+        "_reduce_indef accepting only seeds with a < 0",
+        "src/genuskit/bqf.py",
+        "if _is_reduced_indef(f, s) and abs(f.a) <= abs(f.c):",
+        "if _is_reduced_indef(f, s) and abs(f.a) <= abs(f.c) and f.a < 0:",
+        ["tests/test_bqf.py::test_lookups_walk_at_most_five_rho_steps"],
+    ),
+    (
+        "_canonical returning the seed for D > 0, not the cycle's least form",
+        "src/genuskit/bqf.py",
+        "    if D < 0:\n        return g\n",
+        "    if True:\n        return g\n",
+        ["tests/test_bqf.py::test_reduction_cycle_is_the_rho_cycle_from_its_least_form"],
+    ),
+    (
         "a long continued fraction reported as a bug",
         "src/genuskit/intkit.py",
         'raise ResourceLimitError(f"the continued fraction',
         'raise ArithmeticError(f"the continued fraction',
         ["tests/test_quadfield.py::test_a_continued_fraction_past_the_step_cap_is_a_resource_limit"],
+    ),
+    (
+        "a cached record served without its ramified-primes check",
+        "src/genuskit/cli.py",
+        'rep.get("ramified") == list(ramified) and rep["r"] == len(ramified)',
+        "True",
+        ["tests/test_cli.py::test_cache_serves_a_record_only_for_its_own_field"],
+    ),
+    (
+        "a cached record served without its d check",
+        "src/genuskit/cli.py",
+        '            and rep["d"] == (D if D % 4 == 1 else D // 4)\n',
+        "",
+        ["tests/test_cli.py::test_cache_serves_a_record_only_for_its_own_field"],
+    ),
+    (
+        "the genus kernel taken as (0, e) without the class group",
+        "src/genuskit/genus.py",
+        "kernel = genus_map_kernel(cg, images)",
+        "kernel = (0, (1 << field.r) - 1)",
+        ["tests/test_genus.py::test_kernel_generator_kinds"],
     ),
     (
         "y | m for y ^ m in _genus_images",
@@ -103,9 +152,30 @@ MUTANTS = [
     (
         "quintic accepting negative nodes and b2",
         "src/genuskit/nodesets.py",
-        "        if value < 0:\n            raise ValueError(f\"{name} must not be negative",
-        "        if False:\n            raise ValueError(f\"{name} must not be negative",
+        "        if value < least:\n",
+        "        if False:\n",
         ["tests/test_nodesets.py::test_quintic_rejects_negative_nodes_and_b2"],
+    ),
+    (
+        "quintic accepting min_even and second_even of 0",
+        "src/genuskit/nodesets.py",
+        '("min_even", min_even, 1), ("second_even", second_even, 1)',
+        '("min_even", min_even, 0), ("second_even", second_even, 0)',
+        ["tests/test_nodesets.py::test_quintic_names_a_bad_min_even_or_second_even"],
+    ),
+    (
+        "quintic leaving a second_even above nodes to the weight-code check",
+        "src/genuskit/nodesets.py",
+        "    if second_even > nodes:\n",
+        "    if False:\n",
+        ["tests/test_nodesets.py::test_quintic_names_a_bad_min_even_or_second_even"],
+    ),
+    (
+        "the MacWilliams filter without its congruence on the last two counts",
+        "src/genuskit/nodesets.py",
+        "if lo > hi or (e + r * d) % scale:",
+        "if lo > hi:",
+        ["tests/test_nodesets.py::test_feasible_matches_brute_force"],
     ),
     (
         "a memo that merges on the invariant alone",

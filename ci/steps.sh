@@ -48,6 +48,16 @@ set -e
 test "$q" -eq 2
 test "$n" -eq 2
 
+step "an even-set size below 1 is a usage error (exit 2) whose message names it"
+set +e
+$GK quintic --min-even -4 2> min.err; m=$?
+$GK quintic --second-even 0 2> second.err; s=$?
+set -e
+test "$m" -eq 2
+test "$s" -eq 2
+grep -q '^error: min_even ' min.err
+grep -q '^error: second_even ' second.err
+
 step "a command whose stdout reader has gone exits 141 with nothing on stderr"
 # the read end of the pipe is closed before the command starts: a shell
 # `| head` would race the command's write

@@ -34,10 +34,11 @@ Composition takes a3 = a1 a2 and b3 by one inverse mod a1 when
 gcd(a1, a2) = 1. Otherwise it follows Cohen, Alg. 5.4.7, with each of
 its two Bezout pairs taken from ``math.gcd`` and one inverse.
 
-One loop per sign reduces a form; ``reduce``, ``compose``,
-``ClassGroup.mul`` and ``class_index`` all run it. The hot paths
-(``_rho``, the rho cycle walk, reduction, composition and
-``_enumerate_reduced``) build each form with
+One loop per sign reduces a form, and one walk, ``_cycle_seeds``, goes
+round a rho cycle: ``class_group`` runs it once per cycle, and
+``reduce``, ``compose`` and ``reduction_cycle`` read the canonical form
+off it. The hot paths (``_rho``, ``_cycle_seeds``, reduction,
+composition and ``_enumerate_reduced``) build each form with
 ``tuple.__new__(Form, (a, b, c))``: the same object as ``Form(a, b, c)``,
 without NamedTuple's generated Python-level ``__new__``.
 """
@@ -183,40 +184,20 @@ def _reduce_indef(f: Form, D: int) -> Form:
     raise ArithmeticError("indefinite reduction did not terminate (bug)")
 
 
-def _cycle_from(f: Form, D: int) -> list[Form]:
-    """The rho cycle through a reduced form, starting at f.
-
-    The walk runs on local integers and builds a Form only for the forms
-    it keeps. Each step is ``_rho``'s first branch, because a reduced form
-    has |c| <= isqrt(D), and each step's a is the c before it. Raises
-    ResourceLimitError when the cycle holds more than ``_STEP_CAP`` forms.
-    """
-    s = isqrt(D)
-    a0, b0, c = f
-    b = b0
-    cycle = [f]
-    for _ in range(_STEP_CAP):
-        a, b = c, s - (s + b) % (2 * abs(c))
-        c = (b * b - D) // (4 * a)
-        if a == a0 and b == b0:
-            return cycle
-        if not (1 <= b <= s and s - b + 1 <= 2 * abs(a) <= s + b):
-            raise ArithmeticError(f"rho left the reduced cycle at ({a}, {b}, {c}) (bug)")
-        cycle.append(tuple.__new__(Form, (a, b, c)))
-    raise ResourceLimitError(f"the reduction cycle of D = {D} holds more than {_STEP_CAP} forms")
-
-
 def _cycle_seeds(f: Form, D: int) -> tuple[tuple[int, int], tuple[int, int], list[Form]]:
     """The least (a, b) of the rho cycle through the reduced form f, the
     least (a, b) of its negation (-a, b, -c), and the cycle's seeds
     (|a| <= |c|) from f on.
 
-    It walks and checks as ``_cycle_from`` does and builds a Form only
-    for a seed. c is fixed by a and b, so (a, b) orders forms as
-    (a, b, c) does. a and c have opposite signs and each a is the c
-    before it, so a changes sign at every step: the least form has a < 0,
-    and the least of the negation is the negated form with the largest
-    a > 0 (least b among those).
+    The walk runs on local integers and builds a Form only for a seed.
+    Each step is ``_rho``'s first branch, because a reduced form has
+    |c| <= isqrt(D), and each step's a is the c before it. A form off the
+    reduced cycle is an ArithmeticError ("(bug)"), and a cycle of more
+    than ``_STEP_CAP`` forms a ResourceLimitError. c is fixed by a and
+    b, so (a, b) orders forms as (a, b, c) does. a and c have opposite
+    signs and each a is the c before it, so a changes sign at every
+    step: the least form has a < 0, and the least of the negation is the
+    negated form with the largest a > 0 (least b among those).
     """
     s = isqrt(D)
     a0, b0, _ = a, b, c = f
@@ -252,31 +233,43 @@ def _reduced(f: Form, D: int) -> Form:
     return _reduce_definite(f) if D < 0 else _reduce_indef(f, D)
 
 
+def _canonical(f: Form, D: int) -> Form:
+    """The canonical form of the class of f, unchecked: for D > 0 the
+    least form of its rho cycle, read off the walk ``class_group`` runs."""
+    g = _reduced(f, D)
+    if D < 0:
+        return g
+    (a, b), _, _ = _cycle_seeds(g, D)
+    return tuple.__new__(Form, (a, b, (b * b - D) // (4 * a)))
+
+
 def reduce(f: Form) -> Form:
     """Canonical reduced representative of the proper equivalence class.
 
-    Raises ResourceLimitError, as ``reduction_cycle`` does, when D > 0
-    and the rho cycle holds more than ``_STEP_CAP`` (10^5) forms.
+    Raises ResourceLimitError when D > 0 and the rho cycle holds more
+    than ``_STEP_CAP`` (10^5) forms, which ``class_group``'s bound on |D|
+    never reaches.
     """
-    return reduction_cycle(f)[0]
+    f = Form(*f)
+    return _canonical(f, _check_form(f))
 
 
 def reduction_cycle(f: Form) -> tuple[Form, ...]:
     """All reduced forms properly equivalent to f.
 
-    For D < 0 this is a single form; for D > 0 it is the full rho cycle,
-    rotated to start at the canonical (lexicographically minimal) form.
-    Raises ResourceLimitError when that cycle holds more than
-    ``_STEP_CAP`` (10^5) forms, which ``class_group``'s bound on |D|
-    never reaches.
+    For D < 0 this is a single form. For D > 0 it is the full rho cycle,
+    listed from the canonical (lexicographically least) form on: each
+    form is the rho image of the one before it, and rho takes the last
+    back to the first. ``reduce`` has walked that cycle already under
+    ``_STEP_CAP`` and raises its ResourceLimitError, so this walk ends.
     """
-    f = Form(*f)
-    D = _check_form(f)
-    if D < 0:
-        return (_reduce_definite(f),)
-    cycle = _cycle_from(_reduce_indef(f, D), D)
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:] + cycle[:k])
+    cycle = [reduce(f)]
+    D = cycle[0].disc
+    if D > 0:
+        s = isqrt(D)
+        while (g := _rho(cycle[-1], D, s)) != cycle[0]:
+            cycle.append(g)
+    return tuple(cycle)
 
 
 def _compose_raw(f: Form, g: Form, D: int) -> Form:
@@ -320,8 +313,7 @@ def compose(f: Form, g: Form) -> Form:
     if g.disc != D:
         raise ValueError(f"discriminant mismatch: {f.disc} vs {g.disc}")
     _check_shape(g)
-    h = _reduced(_compose_raw(f, g, D), D)
-    return h if D < 0 else min(_cycle_from(h, D))
+    return _canonical(_compose_raw(f, g, D), D)
 
 
 def ambiguous_form(p: int, D: int) -> Form:

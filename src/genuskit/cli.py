@@ -437,7 +437,10 @@ def cmd_werner(args) -> tuple[int, dict, list[str]]:
 
 def cmd_nodecode(args) -> tuple[int, dict, list[str]]:
     _check_node_budget(args.node_budget)
-    weights = frozenset(int(w) for w in args.weights.split(","))
+    try:
+        weights = frozenset(int(w) for w in args.weights.split(","))
+    except ValueError:
+        raise ValueError(f"--weights must be comma-separated integers, not {args.weights!r}") from None
     problem = WeightCodeProblem(args.n, args.k, weights)
     filt = feasible_distributions(problem)
     search = code_search(problem, node_budget=args.node_budget)

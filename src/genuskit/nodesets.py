@@ -712,14 +712,16 @@ def quintic_certificate(
     returned only when the search exhausts the space without a code. b2
     is an input, not derived here, and the even-set size menu below 24 is
     likewise taken as given (min_even from Castelnuovo's inequality). A
-    negative ``node_budget``, ``b2`` or ``nodes`` is a ValueError, and
-    min_even above ``MAX_MIN_EVEN`` a ResourceLimitError, all raised
-    before any step.
+    negative ``node_budget``, ``b2`` or ``nodes``, or a ``min_even`` or
+    ``second_even`` below 1, is a ValueError, and min_even above
+    ``MAX_MIN_EVEN`` a ResourceLimitError, all raised before any step. A
+    second_even above nodes is a ValueError once the chain reaches the
+    code search, before the filter runs.
     """
     _check_node_budget(node_budget)
-    for name, value in (("b2", b2), ("nodes", nodes)):
-        if value < 0:
-            raise ValueError(f"{name} must not be negative, not {value}")
+    for name, value, least in (("b2", b2, 0), ("nodes", nodes, 0), ("min_even", min_even, 1), ("second_even", second_even, 1)):
+        if value < least:
+            raise ValueError(f"{name} must not be {'negative' if least == 0 else 'less than 1'}, not {value}")
     if min_even > MAX_MIN_EVEN:
         raise ResourceLimitError(f"min_even = {min_even} exceeds the bound {MAX_MIN_EVEN}")
     steps = []
@@ -765,6 +767,8 @@ def quintic_certificate(
             )
         )
         return Certificate(tuple(steps), "INCONCLUSIVE", None, None, None)
+    if second_even > nodes:
+        raise ValueError(f"second_even must not exceed nodes = {nodes}, not {second_even}")
     allowed = frozenset({min_even, second_even, nodes})
     problem = WeightCodeProblem(nodes, kernel_dim, allowed)
     steps.append(

@@ -223,6 +223,38 @@ def test_reduce_returns_the_canonical_form():
             assert reduce(g) == f, (g, f)
 
 
+def _rho_by_formula(f, D):
+    # rho(a, b, c) = (c, b', (b'^2 - D) / 4c), with b' the largest integer
+    # below sqrt(D) such that b' = -b (mod 2|c|)
+    _, b, c = f
+    m = 2 * abs(c)
+    b2 = -b + m * ((isqrt(D) + b) // m)
+    assert (b2 * b2 - D) % (4 * c) == 0, (f, D)
+    return Form(c, b2, (b2 * b2 - D) // (4 * c))
+
+
+def test_reduction_cycle_is_the_rho_cycle_from_its_least_form():
+    # the cycle's contract, checked apart from the walk class_group runs:
+    # it starts at its least form, which reduce returns; each entry is rho
+    # of the one before by the formula above, not bqf._rho, and one more
+    # step closes the cycle; every entry is reduced by the window oracle
+    rng = random.Random(31)
+    for D in sorted({D for D in fundamental_range(2999) if D > 0} | set(CANONICAL_GROUPS)):
+        reduced = oracle_indefinite_reduced(D) if D > 0 else None
+        for f in class_group(D).reps:
+            g = _random_form(rng, D, f, rng.randint(1, 12))
+            cyc = reduction_cycle(g)
+            assert cyc[0] == min(cyc) == reduce(g), (g, D)
+            if D < 0:
+                (a, b, c), = cyc
+                assert abs(b) <= a <= c and (b >= 0 or abs(b) < a < c), (g, D)
+                continue
+            assert len(set(cyc)) == len(cyc), (g, D)
+            for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+                assert _rho_by_formula(x, D) == y, (x, D)
+            assert set(cyc) <= reduced, (g, D)
+
+
 def test_reduce_preserves_represented_integers_definite():
     # exact sound box: f(x,y) <= N needs |x|,|y| <= sqrt(4*N*max(a,c)/|D|)+1
     def represented(f, N=100):

@@ -629,6 +629,18 @@ def test_json_flag_after_subcommand(capsys):
         assert run(capsys, "--json", *argv, "--json") == before, argv
 
 
+def test_bad_weights_and_even_sizes_are_named(capsys):
+    # a bad weight list or even-set size is a usage error naming its input
+    for argv, name in ((["quintic", "--min-even", "-4"], "min_even"), (["quintic", "--min-even", "0"], "min_even"),
+                       (["quintic", "--second-even", "0"], "second_even"),
+                       (["quintic", "--second-even", "40"], "second_even"),
+                       (["nodecode", "-n", "8", "-k", "2", "-w", "4,,6"], "--weights")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith(f"error: {name} "), (argv, err)
+    for nodes in ("31", "0"):
+        assert run(capsys, "quintic", "--nodes", nodes)[0] == 0
+
+
 def test_quintic_31_nodes(capsys):
     code, out, _ = run(capsys, "--json", "quintic", "--nodes", "31")
     assert code == 0

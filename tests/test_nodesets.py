@@ -215,6 +215,22 @@ def test_quintic_rejects_negative_nodes_and_b2():
     assert quintic_certificate(nodes=0).verdict == "INCONCLUSIVE"
 
 
+def test_quintic_names_a_bad_min_even_or_second_even(monkeypatch):
+    # an even-set size below 1 is a usage error that names its input,
+    # raised before any step; a second_even above the node count, once
+    # the chain reaches the code search, before the filter runs
+    monkeypatch.setattr(nodesets, "CertStep", lambda **kw: pytest.fail("a step was built"))
+    for kwargs, name in (({"min_even": -4}, "min_even"), ({"min_even": 0}, "min_even"),
+                         ({"second_even": 0}, "second_even"), ({"second_even": -1, "nodes": 31}, "second_even")):
+        with pytest.raises(ValueError, match=f"^{name} must not be less than 1"):
+            quintic_certificate(**kwargs)
+    monkeypatch.undo()
+    monkeypatch.setattr(nodesets, "feasible_distributions", lambda problem: pytest.fail("the filter ran"))
+    with pytest.raises(ValueError, match="^second_even must not exceed nodes = 32"):
+        quintic_certificate(second_even=40)
+    assert quintic_certificate(nodes=31, second_even=40).verdict == "INCONCLUSIVE"
+
+
 def test_search_k_zero_takes_the_general_path():
     # the zero code: one state visited, so a budget of 0 runs out
     outcome = code_search(WeightCodeProblem(5, 0, frozenset({1})))
